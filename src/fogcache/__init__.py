@@ -8,7 +8,7 @@ delay/energy blend with a binary firefly algorithm, judged against
 random, greedy, and exhaustive references.
 """
 
-from ._kernels import HAS_NUMBA, get_backend
+from ._kernels import get_backend
 from .baselines import SCHEMES, exhaustive_optimal, greedy_local, random_caching
 from .cache import (
     EvalResult,
@@ -40,7 +40,6 @@ from .firefly import (
     FaResult,
     attractiveness,
     brightness_normalize,
-    move_firefly,
     repair,
     run_fa,
 )
@@ -82,7 +81,6 @@ from .social import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAS_NUMBA",
     "get_backend",
     "SCHEMES",
     "exhaustive_optimal",
@@ -117,7 +115,6 @@ __all__ = [
     "FaResult",
     "attractiveness",
     "brightness_normalize",
-    "move_firefly",
     "repair",
     "run_fa",
     "HcgConfig",

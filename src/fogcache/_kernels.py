@@ -1,34 +1,27 @@
-"""Numerical kernels with a numba fast path and a pure-numpy fallback.
+"""Numerical kernels in vectorized numpy.
 
 The three hot spots of a simulation run live here: the delay/energy
 surcharge table of a set of column patterns, the binary move of one
-firefly toward its brighter peers, and the capacity repair sweep.  Each
-kernel exists twice, once as a numba ``@njit`` function and once in
-vectorized numpy, and both versions are written so that their float
-operations happen in the same order.  A full run therefore produces
-bit-identical results on either backend.
+firefly toward its brighter peers, and the capacity repair sweep.
+:class:`Backend` bundles them behind one calling convention; the
+optimizer and the evaluator reach them through :func:`get_backend`.
 
 Randomness inside the kernels is counter-based: every draw is a pure
 function of a 64-bit key and a flat element index, using the splitmix64
 finisher.  That keeps draws bound to (iteration, firefly, peer,
-element) regardless of evaluation order or backend, so the numpy move
-can make the draws of a whole firefly move in one batch.
-
-Set ``FOGCACHE_DISABLE_NUMBA=1`` in the environment before import to
-skip numba entirely and run on the numpy fallback.
+element) regardless of evaluation order, so the move can make the
+draws of a whole firefly move in one batch.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 __all__ = [
-    "HAS_NUMBA",
     "Backend",
     "get_backend",
     "mix64",
@@ -46,25 +39,6 @@ _INV53 = 1.0 / 9007199254740992.0  # 2**-53
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MIX1_U64 = np.uint64(_MIX1)
 _MIX2_U64 = np.uint64(_MIX2)
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("FOGCACHE_DISABLE_NUMBA", "").strip().lower() in {
-        "1",
-        "true",
-        "yes",
-        "on",
-    }
-
-
-try:
-    if _numba_disabled():
-        raise ImportError("numba disabled via FOGCACHE_DISABLE_NUMBA")
-    from numba import njit as _njit
-
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +97,7 @@ def uniform_at(key: int, idx: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# numpy backend.
+# Kernels.
 
 
 def _hamming_np(a: np.ndarray, b: np.ndarray) -> int:
@@ -273,137 +247,16 @@ def _placement_extras_np(
 
 
 # ---------------------------------------------------------------------------
-# numba backend.
-
-if HAS_NUMBA:
-
-    @_njit(cache=True, inline="always")
-    def _uniform_nb(key: np.uint64, e: np.int64) -> np.float64:
-        z = key + (np.uint64(e) + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        z = z ^ (z >> np.uint64(31))
-        return np.float64(z >> np.uint64(11)) * (1.0 / 9007199254740992.0)
-
-    @_njit(cache=True)
-    def _hamming_nb(a: np.ndarray, b: np.ndarray) -> int:
-        n = 0
-        for e in range(a.size):
-            if a[e] != b[e]:
-                n += 1
-        return n
-
-    @_njit(cache=True)
-    def _move_nb(swarm, j, peers, pull, gamma, lam, keys, per_element):
-        x = swarm[j]
-        sparse = lam <= 1.0
-        for t in range(peers.size):
-            b = swarm[peers[t]]
-            r = 0
-            for e in range(x.size):
-                if x[e] != b[e]:
-                    r += 1
-            if sparse and r == 0:
-                continue
-            beta = pull[t] * math.exp(-gamma * r)
-            key_u = np.uint64(keys[t])
-            u_shared = _uniform_nb(key_u, np.int64(0))
-            for e in range(x.size):
-                if sparse and x[e] == b[e]:
-                    continue
-                if per_element:
-                    u = _uniform_nb(key_u, np.int64(e))
-                else:
-                    u = u_shared
-                a = np.float64(x[e])
-                bb = np.float64(b[e])
-                arg = a + beta * (bb - a)
-                arg = arg + lam * (u - 0.5)
-                arg = arg - 0.5
-                x[e] = np.uint8(1) if arg >= 0.0 else np.uint8(0)
-
-    @_njit(cache=True)
-    def _repair_nb(x, prio, slots, fill):
-        n_faps, n_contents = x.shape
-        for m in range(n_faps):
-            kept = 0
-            for r in range(n_contents):
-                f = prio[m, r]
-                if x[m, f]:
-                    if kept < slots:
-                        kept += 1
-                    else:
-                        x[m, f] = 0
-            if fill:
-                for r in range(n_contents):
-                    if kept >= slots:
-                        break
-                    f = prio[m, r]
-                    if not x[m, f]:
-                        x[m, f] = 1
-                        kept += 1
-
-    @_njit(cache=True)
-    def _placement_extras_nb(
-        x,
-        member_of,
-        n_clusters,
-        coop,
-        tx_power,
-        size_bits,
-        cloud_rate,
-        cloud_power,
-        charged_intra,
-    ):
-        n_faps, n_contents = x.shape
-        cluster_has = np.zeros((n_clusters, n_contents), dtype=np.uint8)
-        for m in range(n_faps):
-            k = member_of[m]
-            for f in range(n_contents):
-                if x[m, f]:
-                    cluster_has[k, f] = 1
-        anywhere = np.zeros(n_contents, dtype=np.uint8)
-        for k in range(n_clusters):
-            for f in range(n_contents):
-                if cluster_has[k, f]:
-                    anywhere[f] = 1
-
-        extra_t = np.zeros((n_faps, n_contents))
-        extra_e = np.zeros((n_faps, n_contents))
-        cloud_t = size_bits / cloud_rate
-        cloud_e = (cloud_power * size_bits) / cloud_rate
-        for m in range(n_faps):
-            k = member_of[m]
-            for f in range(n_contents):
-                if cluster_has[k, f]:
-                    if charged_intra and not x[m, f]:
-                        best = -np.inf
-                        for n in range(n_faps):
-                            if n != m and member_of[n] == k and x[n, f]:
-                                if coop[m, n] > best:
-                                    best = coop[m, n]
-                        extra_t[m, f] = size_bits / best
-                        extra_e[m, f] = (tx_power[m] * size_bits) / best
-                elif anywhere[f]:
-                    best = -np.inf
-                    for n in range(n_faps):
-                        if x[n, f] and coop[m, n] > best:
-                            best = coop[m, n]
-                    extra_t[m, f] = size_bits / best
-                    extra_e[m, f] = (tx_power[m] * size_bits) / best
-                else:
-                    extra_t[m, f] = cloud_t
-                    extra_e[m, f] = cloud_e
-        return extra_t, extra_e
-
-
-# ---------------------------------------------------------------------------
-# Backend selection.
+# The kernel bundle.
 
 
 @dataclass(frozen=True)
 class Backend:
-    """Bundle of kernel implementations sharing one calling convention."""
+    """Bundle of kernel implementations sharing one calling convention.
+
+    ``hamming`` has no caller in the package; the benchmark's tracer
+    times it together with ``move`` and ``repair``.
+    """
 
     name: str
     hamming: Callable[[np.ndarray, np.ndarray], int]
@@ -420,31 +273,7 @@ _NUMPY_BACKEND = Backend(
     placement_extras=_placement_extras_np,
 )
 
-if HAS_NUMBA:
-    _NUMBA_BACKEND: Optional[Backend] = Backend(
-        name="numba",
-        hamming=_hamming_nb,
-        move=_move_nb,
-        repair=_repair_nb,
-        placement_extras=_placement_extras_nb,
-    )
-else:
-    _NUMBA_BACKEND = None
 
-
-def get_backend(name: Optional[str] = None) -> Backend:
-    """Resolve a backend by name.
-
-    ``None`` or ``"auto"`` picks numba when available and falls back to
-    numpy otherwise.  Asking for ``"numba"`` when it is unavailable (not
-    installed, or disabled through FOGCACHE_DISABLE_NUMBA) is an error.
-    """
-    if name is None or name == "auto":
-        return _NUMBA_BACKEND if _NUMBA_BACKEND is not None else _NUMPY_BACKEND
-    if name == "numpy":
-        return _NUMPY_BACKEND
-    if name == "numba":
-        if _NUMBA_BACKEND is None:
-            raise RuntimeError("numba backend requested but not available")
-        return _NUMBA_BACKEND
-    raise ValueError(f"unknown backend {name!r}")
+def get_backend() -> Backend:
+    """The kernels the optimizer and the evaluator call."""
+    return _NUMPY_BACKEND

@@ -70,7 +70,6 @@ def exhaustive_optimal(
     rates: LinkRateTable,
     partition: Partition,
     size_cap: int = 24,
-    backend: Optional[str] = None,
 ) -> Tuple[np.ndarray, EvalResult]:
     """Optimal placement by dynamic programming over contents.
 
@@ -98,7 +97,7 @@ def exhaustive_optimal(
             f"instance has {cells} cells, exhaustive search capped at {size_cap}"
         )
     slots = capacity_slots(params)
-    evaluator = PlacementEvaluator(scenario, rates, partition, backend=backend)
+    evaluator = PlacementEvaluator(scenario, rates, partition)
 
     patterns = np.arange(1 << n_faps)
     fap = np.arange(n_faps)

@@ -23,7 +23,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._kernels import Backend, get_backend
+from ._kernels import get_backend
 from .radio import LinkRateTable
 from .scenario import Scenario, SystemParams, capacity_slots, local_demand_mass
 
@@ -284,15 +284,12 @@ class PlacementEvaluator:
         scenario: Scenario,
         rates: LinkRateTable,
         partition: Partition,
-        backend: Optional[str] = None,
     ):
         params = scenario.params
         self.scenario = scenario
         self.rates = rates
         self.partition = partition
-        self.backend: Backend = (
-            backend if isinstance(backend, Backend) else get_backend(backend)
-        )
+        self.backend = get_backend()
         self.mass = local_demand_mass(scenario)
         powers = params.fap_powers()
         size = params.content_size
@@ -362,7 +359,6 @@ def evaluate(
     rates: LinkRateTable,
     x: np.ndarray,
     partition: Partition,
-    backend: Optional[str] = None,
 ) -> EvalResult:
     """One-off evaluation; build a :class:`PlacementEvaluator` for loops."""
-    return PlacementEvaluator(scenario, rates, partition, backend).evaluate(x)
+    return PlacementEvaluator(scenario, rates, partition).evaluate(x)

@@ -67,8 +67,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="override the scheme list")
     p.add_argument("--clustering", choices=CLUSTERINGS, default=None,
                    help="override the clustering mode")
-    p.add_argument("--backend", choices=("auto", "numba", "numpy"), default=None,
-                   help="override the kernel backend")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,8 +121,6 @@ def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> Experime
         spec = replace(spec, schemes=tuple(args.scheme))
     if args.clustering is not None:
         spec = replace(spec, clustering=args.clustering)
-    if args.backend is not None:
-        spec = replace(spec, fa=replace(spec.fa, backend=args.backend))
     return spec
 
 

@@ -161,9 +161,7 @@ def run_experiment(
             else:
                 partition = Partition.whole_set(params.num_faps)
                 hcg_passes = 0
-            evaluator = PlacementEvaluator(
-                scenario, rates, partition, backend=spec.fa.backend
-            )
+            evaluator = PlacementEvaluator(scenario, rates, partition)
 
             for scheme in spec.schemes:
                 run_id = _cell_id(spec.sweep_axis, value, seed, scheme)
@@ -185,8 +183,7 @@ def run_experiment(
                         traces.append(TraceRow(run_id, it, obj, t, e))
                 else:  # exhaustive
                     x, outcome = exhaustive_optimal(
-                        scenario, rates, partition,
-                        size_cap=spec.exhaustive_cap, backend=spec.fa.backend,
+                        scenario, rates, partition, size_cap=spec.exhaustive_cap
                     )
                 wall = 0.0 if repeatable_timing else (
                     (time.perf_counter() - start) * 1000.0

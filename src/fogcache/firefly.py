@@ -12,9 +12,9 @@ reported history never worsens.
 All randomness inside the main loop is counter-based: the draw for
 (iteration q, firefly j, peer i, element e) is
 ``uniform_at(derive_key(seed, 0xF2, q, j, i), e)``.  That makes runs
-reproducible and backend-independent, and lets an iteration derive all
-its keys in one vectorized call and a move make its draws in whatever
-batches suit it; see :mod:`fogcache._kernels`.
+reproducible whatever order the draws are made in, and lets an
+iteration derive all its keys in one vectorized call and a move make
+its draws in whatever batches suit it; see :mod:`fogcache._kernels`.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ __all__ = [
     "FaResult",
     "brightness_normalize",
     "attractiveness",
-    "move_firefly",
     "repair",
     "run_fa",
 ]
@@ -57,16 +56,16 @@ class FaConfig:
     stall_limit: Optional[int] = None  # stop after this many flat iterations
     repair_fill: str = "full"  # "full" tops caches up, "none" only evicts
     epsilon_scope: str = "element"  # fresh noise per element or per matrix
-    backend: Optional[str] = None  # None/auto, "numba", "numpy"
 
     def __post_init__(self):
         if self.population < 2:
             raise ValueError("population must be >= 2")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.gamma < 0:
+        # written so that NaN fails too
+        if not self.gamma >= 0:
             raise ValueError("gamma must be non-negative")
-        if self.lambda_rand < 0:
+        if not self.lambda_rand >= 0:
             raise ValueError("lambda_rand must be non-negative")
         if self.stall_limit is not None and self.stall_limit < 1:
             raise ValueError("stall_limit must be >= 1 when set")
@@ -110,35 +109,6 @@ def brightness_normalize(objectives: np.ndarray) -> np.ndarray:
 def attractiveness(intensity: float, distance: float, gamma: float) -> float:
     """Pull exerted by a firefly of given brightness at a given distance."""
     return intensity * math.exp(-gamma * distance)
-
-
-def move_firefly(
-    xj: np.ndarray,
-    xi: np.ndarray,
-    beta: float,
-    lam: float,
-    rng: np.random.Generator,
-    epsilon_scope: str = "element",
-) -> np.ndarray:
-    """Reference move: pull placement xj toward xi, then threshold.
-
-    Each element becomes 1 iff
-    ``xj + beta * (xi - xj) + lam * (eps - 1/2) - 1/2 >= 0``
-    with eps uniform on [0, 1).  This is the generator-driven public
-    form; the optimizer's inner loop uses the counter-based kernels.
-    """
-    if xj.shape != xi.shape:
-        raise ValueError("placements must share a shape")
-    if epsilon_scope == "element":
-        eps = rng.random(xj.shape)
-    else:
-        eps = float(rng.random())
-    a = xj.astype(np.float64)
-    b = xi.astype(np.float64)
-    arg = a + beta * (b - a)
-    arg = arg + lam * (eps - 0.5)
-    arg = arg - 0.5
-    return (arg >= 0.0).astype(np.uint8)
 
 
 def repair(
@@ -210,8 +180,8 @@ def run_fa(
     if config is None:
         config = FaConfig()
     params = scenario.params
-    be = get_backend(config.backend)
-    evaluator = PlacementEvaluator(scenario, rates, partition, backend=config.backend)
+    be = get_backend()
+    evaluator = PlacementEvaluator(scenario, rates, partition)
     slots = capacity_slots(params)
     pop_rows = all_local_popularity(scenario)
     # repair priority: most locally popular first, index breaks ties

@@ -126,6 +126,9 @@ def test_parse_config_rejects_unknown_keys():
         parse_config({"system": {"num_fapz": 3}})
     with pytest.raises(ValueError, match="unknown key"):
         parse_config({"experiment": {"sweep": "capacity"}})
+    # the kernels have one implementation, so there is nothing to select
+    with pytest.raises(ValueError, match="unknown key"):
+        parse_config({"fa": {"backend": "numpy"}})
     with pytest.raises(ValueError, match="section"):
         parse_config({"systems": {}})
 
@@ -442,6 +445,13 @@ def test_cli_bad_axis_rejected(config_file):
             ]
         )
     assert exc.value.code == 2
+
+
+def test_cli_backend_flag_rejected(config_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(config_file), "--backend", "numpy"])
+    assert exc.value.code == 2
+    assert "--backend" in capsys.readouterr().err
 
 
 def test_console_entry_point(config_file, tmp_path):

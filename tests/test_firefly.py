@@ -14,7 +14,6 @@ from fogcache import (
     brightness_normalize,
     evaluate,
     feasible,
-    move_firefly,
     repair,
     run_fa,
 )
@@ -55,67 +54,71 @@ def test_attractiveness_limits():
 
 
 # ---------------------------------------------------------------------------
-# the move rule
+# the move rule, on the move kernel with one peer and no distance decay
+
+
+def pull_once(xj, xi, beta, lam, per_element=True, key=7):
+    """Move firefly 0 toward firefly 1 with attraction ``beta``.
+
+    The kernel's result is checked against :func:`conftest.scalar_pull`
+    and returned.
+    """
+    swarm = np.stack([xj, xi]).astype(np.uint8)
+    keys = np.array([key], dtype=np.uint64)
+    get_backend().move(swarm, 0, np.array([1]), np.array([beta]), 0.0, lam,
+                       keys, per_element)
+    assert np.array_equal(swarm[1], xi)
+    expected = scalar_pull(xj, xi, beta, lam, key, per_element)
+    assert np.array_equal(swarm[0], expected)
+    return swarm[0]
 
 
 def test_move_keeps_shared_ones_without_noise():
-    xj = np.ones((2, 3), dtype=np.uint8)
-    xi = np.ones((2, 3), dtype=np.uint8)
-    out = move_firefly(xj, xi, beta=0.9, lam=0.0, rng=np.random.default_rng(0))
+    xj = np.ones(6, dtype=np.uint8)
+    out = pull_once(xj, xj.copy(), beta=0.9, lam=0.0)
     assert out.tolist() == xj.tolist()
 
 
 def test_move_threshold_on_beta():
-    xj = np.zeros((1, 1), dtype=np.uint8)
-    xi = np.ones((1, 1), dtype=np.uint8)
-    rng = np.random.default_rng(0)
-    # argument beta - 1/2: 0.2 stays below, 0.6 crosses
-    assert move_firefly(xj, xi, 0.2, 0.0, rng)[0, 0] == 0
-    assert move_firefly(xj, xi, 0.6, 0.0, rng)[0, 0] == 1
+    xj = np.zeros(1, dtype=np.uint8)
+    xi = np.ones(1, dtype=np.uint8)
+    # argument beta - 1/2: below 0.5 stays, from 0.5 on crosses
+    assert pull_once(xj, xi, 0.2, 0.0)[0] == 0
+    assert pull_once(xj, xi, 0.49, 0.0)[0] == 0
+    assert pull_once(xj, xi, 0.5, 0.0)[0] == 1
+    assert pull_once(xj, xi, 0.6, 0.0)[0] == 1
 
 
 def test_move_identity_when_inert():
     rng = np.random.default_rng(3)
-    xj = rng.integers(0, 2, size=(4, 9)).astype(np.uint8)
-    xi = rng.integers(0, 2, size=(4, 9)).astype(np.uint8)
-    out = move_firefly(xj, xi, beta=0.0, lam=0.0, rng=rng)
-    assert np.array_equal(out, xj)
+    xj = rng.integers(0, 2, size=36).astype(np.uint8)
+    xi = rng.integers(0, 2, size=36).astype(np.uint8)
+    assert np.array_equal(pull_once(xj, xi, beta=0.0, lam=0.0), xj)
 
 
 def test_move_copies_fully_at_max_attraction():
-    xj = np.zeros((3, 5), dtype=np.uint8)
-    xi = np.ones((3, 5), dtype=np.uint8)
-    out = move_firefly(xj, xi, beta=1.0, lam=0.0, rng=np.random.default_rng(0))
-    assert np.array_equal(out, xi)
-
-
-def test_move_shape_mismatch():
-    with pytest.raises(ValueError):
-        move_firefly(
-            np.zeros((2, 2), dtype=np.uint8),
-            np.zeros((2, 3), dtype=np.uint8),
-            0.5,
-            0.5,
-            np.random.default_rng(0),
-        )
+    rng = np.random.default_rng(4)
+    xj = rng.integers(0, 2, size=15).astype(np.uint8)
+    xi = rng.integers(0, 2, size=15).astype(np.uint8)
+    assert np.array_equal(pull_once(xj, xi, beta=1.0, lam=0.0), xi)
 
 
 def test_move_is_deterministic_given_state():
-    xj = np.zeros((2, 8), dtype=np.uint8)
-    xi = np.ones((2, 8), dtype=np.uint8)
-    a = move_firefly(xj, xi, 0.4, 1.5, np.random.default_rng(42))
-    b = move_firefly(xj, xi, 0.4, 1.5, np.random.default_rng(42))
+    xj = np.zeros(16, dtype=np.uint8)
+    xi = np.ones(16, dtype=np.uint8)
+    a = pull_once(xj, xi, 0.4, 1.5, key=42)
+    b = pull_once(xj, xi, 0.4, 1.5, key=42)
     assert np.array_equal(a, b)
 
 
 def test_move_matrix_scope_flips_together():
-    # one shared draw: every equal-state element gets the same outcome
-    xj = np.zeros((1, 64), dtype=np.uint8)
-    xi = np.zeros((1, 64), dtype=np.uint8)
-    out = move_firefly(
-        xj, xi, 0.0, 2.0, np.random.default_rng(1), epsilon_scope="matrix"
-    )
-    assert out.min() == out.max()
+    # one shared draw: every equal-state element gets the same outcome,
+    # where per-element draws under the same key split them
+    x = np.zeros(64, dtype=np.uint8)
+    shared = pull_once(x, x.copy(), 0.0, 2.0, per_element=False, key=1)
+    assert shared.min() == shared.max()
+    split = pull_once(x, x.copy(), 0.0, 2.0, per_element=True, key=1)
+    assert split.min() != split.max()
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +170,7 @@ def test_repair_is_idempotent():
 
 
 def test_repair_agrees_with_batch_kernel():
-    be = get_backend("numpy")
+    be = get_backend()
     rng = np.random.default_rng(21)
     rows = rng.integers(0, 2, size=(6, 10)).astype(np.uint8)
     pop = rng.random((6, 10))
@@ -269,7 +272,7 @@ def test_run_fa_draws_follow_the_counter_stream(monkeypatch, small_instance,
     part = Partition.from_labels([0, 0, 1])
     cfg = FaConfig(population=10, max_iters=6, lambda_rand=lam,
                    epsilon_scope=scope, seed=17)
-    real = get_backend(cfg.backend)
+    real = get_backend()
     fold = firefly.fold_keys
     iteration = [-1]
     steps = []
@@ -294,7 +297,7 @@ def test_run_fa_draws_follow_the_counter_stream(monkeypatch, small_instance,
     monkeypatch.setattr(firefly, "fold_keys", counting_fold)
     monkeypatch.setattr(
         firefly, "get_backend",
-        lambda name=None: dataclasses.replace(real, move=checked_move),
+        lambda: dataclasses.replace(real, move=checked_move),
     )
     res = run_fa(scn, rates, part, cfg)
     assert iteration[0] == res.iterations - 1
@@ -322,6 +325,12 @@ def test_fa_config_validation():
         FaConfig(max_iters=0)
     with pytest.raises(ValueError):
         FaConfig(lambda_rand=-0.5)
+    with pytest.raises(ValueError):
+        FaConfig(lambda_rand=float("nan"))
+    with pytest.raises(ValueError):
+        FaConfig(gamma=-0.1)
+    with pytest.raises(ValueError):
+        FaConfig(gamma=float("nan"))
     with pytest.raises(ValueError):
         FaConfig(repair_fill="pad")
     with pytest.raises(ValueError):

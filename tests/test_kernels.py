@@ -1,27 +1,19 @@
-"""Counter-based RNG and the two compute backends.
+"""Counter-based RNG and the numpy kernels.
 
 The RNG vectors are checked against the published splitmix64 reference
-sequence for seed 0, and every kernel is required to produce
-bit-identical results on the numpy path and the compiled path.
+sequence for seed 0, and the move kernel against its element-by-element
+definition.  The repair and surcharge kernels are checked against their
+references in test_firefly.py and test_cache.py.
 """
 
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from fogcache._kernels import (
-    HAS_NUMBA,
-    derive_key,
-    fold_keys,
-    get_backend,
-    mix64,
-    uniform_at,
-)
+from fogcache._kernels import derive_key, fold_keys, get_backend, mix64, uniform_at
 
-from conftest import scalar_pull, subprocess_env
+from conftest import scalar_pull
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
@@ -113,42 +105,11 @@ def test_uniform_at_broadcasts_keys():
 
 
 # ---------------------------------------------------------------------------
-# backend selection
+# the kernel bundle
 
 
 def test_get_backend_numpy_always_available():
-    be = get_backend("numpy")
-    assert be.name == "numpy"
-
-
-def test_get_backend_default_prefers_compiled():
-    be = get_backend(None)
-    assert be.name == ("numba" if HAS_NUMBA else "numpy")
-    assert get_backend("auto").name == be.name
-
-
-def test_get_backend_unknown_name():
-    with pytest.raises(ValueError):
-        get_backend("cuda")
-
-
-def test_disable_flag_blocks_compiled_backend():
-    code = (
-        "from fogcache._kernels import HAS_NUMBA, get_backend\n"
-        "assert not HAS_NUMBA\n"
-        "try:\n"
-        "    get_backend('numba')\n"
-        "except RuntimeError:\n"
-        "    pass\n"
-        "else:\n"
-        "    raise SystemExit('numba backend should be unavailable')\n"
-        "assert get_backend(None).name == 'numpy'\n"
-    )
-    env = subprocess_env(FOGCACHE_DISABLE_NUMBA="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True
-    )
-    assert proc.returncode == 0, proc.stderr
+    assert get_backend().name == "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +128,7 @@ def _move_case(rng, trial, n=40, population=7):
 @pytest.mark.parametrize("per_element", [True, False])
 def test_move_matches_scalar_rule(lam, per_element):
     rng = np.random.default_rng(5)
-    be = get_backend("numpy")
+    be = get_backend()
     for trial in range(20):
         swarm, peers, pull, keys = _move_case(rng, trial)
         gamma = float(rng.choice([0.0, 0.01, 0.2]))
@@ -181,104 +142,3 @@ def test_move_matches_scalar_rule(lam, per_element):
         be.move(swarm, 0, peers, pull, gamma, lam, keys, per_element)
         assert np.array_equal(swarm[0], expected)
         assert np.array_equal(np.delete(swarm, 0, axis=0), others)
-
-
-# ---------------------------------------------------------------------------
-# cross-backend agreement (exact, not approximate)
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba not available")
-
-
-def _random_placement(rng, m, f, slots):
-    x = np.zeros((m, f), dtype=np.uint8)
-    for row in x:
-        row[rng.choice(f, size=rng.integers(0, slots + 1), replace=False)] = 1
-    return x
-
-
-@needs_numba
-def test_hamming_agreement():
-    rng = np.random.default_rng(3)
-    np_be = get_backend("numpy")
-    nb_be = get_backend("numba")
-    for _ in range(20):
-        a = rng.integers(0, 2, size=60).astype(np.uint8)
-        b = rng.integers(0, 2, size=60).astype(np.uint8)
-        assert np_be.hamming(a, b) == nb_be.hamming(a, b)
-        assert np_be.hamming(a, a) == 0
-
-
-@needs_numba
-@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.7])
-@pytest.mark.parametrize("per_element", [True, False])
-def test_move_agreement(lam, per_element):
-    rng = np.random.default_rng(11)
-    np_be = get_backend("numpy")
-    nb_be = get_backend("numba")
-    for trial in range(25):
-        swarm, peers, pull, keys = _move_case(rng, trial)
-        a = swarm.copy()
-        b = swarm.copy()
-        np_be.move(a, 0, peers, pull, 0.01, lam, keys, per_element)
-        nb_be.move(b, 0, peers, pull, 0.01, lam, keys, per_element)
-        assert np.array_equal(a, b)
-
-
-@needs_numba
-@pytest.mark.parametrize("fill", [True, False])
-def test_repair_agreement(fill):
-    rng = np.random.default_rng(23)
-    np_be = get_backend("numpy")
-    nb_be = get_backend("numba")
-    for _ in range(25):
-        m, f = 4, 12
-        slots = int(rng.integers(0, f + 1))
-        x = rng.integers(0, 2, size=(m, f)).astype(np.uint8)
-        pop = rng.random((m, f))
-        prio = np.argsort(-pop, axis=1, kind="stable").astype(np.int64)
-        a = x.copy()
-        b = x.copy()
-        np_be.repair(a, prio, slots, fill)
-        nb_be.repair(b, prio, slots, fill)
-        assert np.array_equal(a, b)
-        assert np.all(a.sum(axis=1) <= slots)
-        if fill:
-            assert np.all(a.sum(axis=1) == min(slots, f))
-
-
-@needs_numba
-@pytest.mark.parametrize("charged", [False, True])
-def test_placement_extras_agreement(charged):
-    rng = np.random.default_rng(31)
-    np_be = get_backend("numpy")
-    nb_be = get_backend("numba")
-    for _ in range(15):
-        m, f = 5, 7
-        member_of = rng.integers(0, 3, size=m).astype(np.int64)
-        coop = rng.uniform(1e5, 1e7, size=(m, m))
-        np.fill_diagonal(coop, 0.0)
-        power = rng.uniform(1.0, 40.0, size=m)
-        x = _random_placement(rng, m, f, slots=3)
-        args = (x, member_of, 3, coop, power, 1.0e6, 5.0e5, 20.0, charged)
-        t_np, e_np = np_be.placement_extras(*args)
-        t_nb, e_nb = nb_be.placement_extras(*args)
-        assert np.array_equal(t_np, t_nb)
-        assert np.array_equal(e_np, e_nb)
-
-
-@needs_numba
-def test_full_optimizer_run_identical_across_backends(small_instance):
-    from fogcache import FaConfig, Partition, run_fa
-
-    scn, rates = small_instance
-    part = Partition.from_labels([0, 0, 1])
-    results = {}
-    for name in ("numpy", "numba"):
-        cfg = FaConfig(
-            population=8, max_iters=12, lambda_rand=2.0, seed=5, backend=name
-        )
-        results[name] = run_fa(scn, rates, part, cfg)
-    a, b = results["numpy"], results["numba"]
-    assert np.array_equal(a.best_matrix, b.best_matrix)
-    assert a.best_eval.objective == b.best_eval.objective
-    assert a.history == b.history
