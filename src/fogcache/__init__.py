@@ -38,9 +38,7 @@ from .experiment import (
 from .firefly import (
     FaConfig,
     FaResult,
-    attractiveness,
     brightness_normalize,
-    repair,
     run_fa,
 )
 from .hcg import (
@@ -113,9 +111,7 @@ __all__ = [
     "write_trace_csv",
     "FaConfig",
     "FaResult",
-    "attractiveness",
     "brightness_normalize",
-    "repair",
     "run_fa",
     "HcgConfig",
     "HcgResult",

@@ -1,10 +1,11 @@
-"""Numerical kernels in vectorized numpy.
+"""Numerical kernels of the firefly optimizer, in vectorized numpy.
 
-The three hot spots of a simulation run live here: the delay/energy
-surcharge table of a set of column patterns, the binary move of one
+Two hot spots of a simulation run live here: the binary move of one
 firefly toward its brighter peers, and the capacity repair sweep.
 :class:`Backend` bundles them behind one calling convention; the
-optimizer and the evaluator reach them through :func:`get_backend`.
+optimizer reaches them through :func:`get_backend`.  Placement
+surcharges are gathered from the rank tables of
+:class:`fogcache.cache.PlacementEvaluator`.
 
 Randomness inside the kernels is counter-based: every draw is a pure
 function of a 64-bit key and a flat element index, using the splitmix64
@@ -167,83 +168,23 @@ def _repair_np(x: np.ndarray, prio: np.ndarray, slots: int, fill: bool) -> None:
     first ``slots`` entries of "cached in priority order, then uncached
     in priority order".
     """
-    rows = np.arange(x.shape[0])[:, None]
-    cached = x[rows, prio] != 0
+    n_rows, n_cols = x.shape
+    # one flat index gathers and scatters faster than a 2-D fancy index;
+    # only a C-contiguous x has a flat view that writes through
+    if not x.flags.c_contiguous:
+        raise ValueError("repair needs a C-contiguous placement")
+    flat = (prio + np.arange(0, n_rows * n_cols, n_cols)[:, None]).ravel()
+    xf = x.reshape(-1)
+    cached = (xf[flat] != 0).reshape(n_rows, n_cols)
     rank = np.cumsum(cached, axis=1)
     if fill:
         # position of an uncached entry: all cached ones, then the
         # uncached ones up to and including it
-        hole_pos = rank[:, -1:] + np.arange(1, x.shape[1] + 1) - rank
+        hole_pos = rank[:, -1:] + np.arange(1, n_cols + 1) - rank
         keep = np.where(cached, rank, hole_pos) <= slots
     else:
         keep = cached & (rank <= slots)
-    x[rows, prio] = keep
-
-
-def _placement_extras_np(
-    x: np.ndarray,
-    member_of: np.ndarray,
-    n_clusters: int,
-    coop: np.ndarray,
-    tx_power: np.ndarray,
-    size_bits: float,
-    cloud_rate: float,
-    cloud_power: float,
-    charged_intra: bool,
-):
-    """Per (F-AP, content) delay and energy surcharge over the access hop.
-
-    A request lands in exactly one regime: cached inside the local
-    cluster (no surcharge, or one intra-cluster hop when that hop is
-    charged), cached somewhere else (one fronthaul hop from the best
-    reachable holder), or nowhere (cloud fetch).
-    """
-    n_faps, n_contents = x.shape
-    xb = x.astype(bool)
-    cluster_has = np.zeros((n_clusters, n_contents), dtype=bool)
-    for k in range(n_clusters):
-        rows = xb[member_of == k]
-        if rows.shape[0]:
-            cluster_has[k] = rows.any(axis=0)
-    local_has = cluster_has[member_of]
-    anywhere = cluster_has.any(axis=0)
-
-    extra_t = np.zeros((n_faps, n_contents))
-    extra_e = np.zeros((n_faps, n_contents))
-
-    # remote regime: best transfer rate among all holders (holders are
-    # outside the local cluster here, so self never competes)
-    masked = np.where(xb[None, :, :], coop[:, :, None], -np.inf)
-    best = masked.max(axis=1)
-    remote = ~local_has & anywhere[None, :]
-    if remote.any():
-        rows, cols = np.nonzero(remote)
-        rate = best[rows, cols]
-        extra_t[rows, cols] = size_bits / rate
-        extra_e[rows, cols] = (tx_power[rows] * size_bits) / rate
-
-    cloud_cols = ~anywhere
-    if cloud_cols.any():
-        extra_t[:, cloud_cols] = size_bits / cloud_rate
-        extra_e[:, cloud_cols] = (cloud_power * size_bits) / cloud_rate
-
-    if charged_intra:
-        # local-cluster hit served by a neighbor rather than the local
-        # F-AP itself costs one fronthaul hop from the best holder
-        same = member_of[:, None] == member_of[None, :]
-        np.fill_diagonal(same, False)
-        cand = np.where(
-            xb[None, :, :] & same[:, :, None], coop[:, :, None], -np.inf
-        )
-        best_in = cand.max(axis=1)
-        hop = local_has & ~xb
-        if hop.any():
-            rows, cols = np.nonzero(hop)
-            rate = best_in[rows, cols]
-            extra_t[rows, cols] = size_bits / rate
-            extra_e[rows, cols] = (tx_power[rows] * size_bits) / rate
-
-    return extra_t, extra_e
+    xf[flat] = keep.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -252,17 +193,19 @@ def _placement_extras_np(
 
 @dataclass(frozen=True)
 class Backend:
-    """Bundle of kernel implementations sharing one calling convention.
+    """Bundle of the firefly kernels sharing one calling convention.
 
-    ``hamming`` has no caller in the package; the benchmark's tracer
-    times it together with ``move`` and ``repair``.
+    Placement surcharges are no kernel of their own: the evaluator
+    gathers them from its rank and chunk tables (see
+    :class:`fogcache.cache.PlacementEvaluator`).  ``hamming`` has no
+    caller in the package; the benchmark's tracer times it together
+    with ``move`` and ``repair``.
     """
 
     name: str
     hamming: Callable[[np.ndarray, np.ndarray], int]
     move: Callable[..., None]
     repair: Callable[..., None]
-    placement_extras: Callable[..., tuple]
 
 
 _NUMPY_BACKEND = Backend(
@@ -270,10 +213,9 @@ _NUMPY_BACKEND = Backend(
     hamming=_hamming_np,
     move=_move_np,
     repair=_repair_np,
-    placement_extras=_placement_extras_np,
 )
 
 
 def get_backend() -> Backend:
-    """The kernels the optimizer and the evaluator call."""
+    """The kernels the optimizer calls."""
     return _NUMPY_BACKEND

@@ -27,7 +27,7 @@ _MASK64 = (1 << 64) - 1
 # the optimum are re-scored by the evaluator; roundoff between the two
 # sums is many orders of magnitude smaller
 _TIE_RTOL = 1e-9
-# column patterns per surcharge-kernel call, and (state, pattern) pairs
+# column patterns per `surcharges` call, and (state, pattern) pairs
 # per vectorized DP step
 _PATTERN_CHUNK = 4096
 _PAIR_CHUNK = 1 << 18

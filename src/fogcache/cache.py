@@ -23,7 +23,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ._kernels import get_backend
 from .radio import LinkRateTable
 from .scenario import Scenario, SystemParams, capacity_slots, local_demand_mass
 
@@ -254,6 +253,10 @@ def caching_energy(x: np.ndarray, params: SystemParams) -> float:
     return params.cache_coeff * params.content_size * float(np.count_nonzero(x))
 
 
+# weights that read up to 8 binary rows as the bits of one byte
+_BIT_WEIGHTS = 1 << np.arange(8, dtype=np.uint8)
+
+
 class PlacementEvaluator:
     """Demand-weighted expected delay/energy/objective for placements.
 
@@ -261,23 +264,27 @@ class PlacementEvaluator:
     demand-weighted total is a placement-independent constant.  What
     remains varies only with (local F-AP, content), so per-user demand
     is aggregated once into a (M, F) mass and each evaluation reduces to
-    a surcharge-table lookup.  This matches the per-request sum exactly
-    up to float roundoff.
+    a surcharge lookup.  This matches the per-request sum exactly up to
+    float roundoff.
 
-    The surcharge of (F-AP m, content f) depends only on the column
-    pattern ``x[:, f]``.  For up to ``TABLE_MAX_FAPS`` F-APs the
-    surcharges of all 2**M patterns are therefore computed once, and an
-    evaluation gathers its columns from that table, which gives the
-    same numbers as running the kernel on the whole matrix.
+    The surcharge of (F-AP m, content f) depends only on which holder of
+    f comes first in m's preference order: m itself, then the other
+    members of m's cluster, then every other F-AP, each group by
+    fronthaul rate from m, fastest first, lower index on ties.  The
+    first holder is the best-rate holder of the regime the request
+    lands in, so two kinds of small table, built once, give every
+    surcharge exactly:
+
+    * the delay and energy surcharge of each (F-AP m, rank r), flat at
+      ``m * (M + 1) + r``, where rank M stands for "no holder" (a cloud
+      fetch);
+    * for each chunk of w <= 8 F-AP rows, an (M, 2**w) table that
+      holds, for every bit code of the chunk's rows of a column, the
+      flat index of the least rank among the chunk's F-APs set in it.
+
+    An evaluation packs each chunk of a column into one byte, takes the
+    least index over the chunks and gathers both surcharges there.
     """
-
-    # the pattern table holds at most 786 KB up to 12 F-APs; larger
-    # networks would pay megabytes for it, so their evaluations run the
-    # kernel on the whole matrix instead
-    TABLE_MAX_FAPS = 12
-    # columns per kernel call, bounding its (M, M, columns) scratch to
-    # 1.8 MB at 15 F-APs; a full-scale placement still takes one call
-    KERNEL_BLOCK = 1024
 
     def __init__(
         self,
@@ -289,7 +296,6 @@ class PlacementEvaluator:
         self.scenario = scenario
         self.rates = rates
         self.partition = partition
-        self.backend = get_backend()
         self.mass = local_demand_mass(scenario)
         powers = params.fap_powers()
         size = params.content_size
@@ -299,15 +305,40 @@ class PlacementEvaluator:
         access = rates.access[local, users]
         self.const_delay = float(np.sum(size / access))
         self.const_energy = float(np.sum(powers[local] * size / access))
-        self._tx_power = powers
-        self._charged = params.intra_cluster_hop == "charged"
 
         n_faps = params.num_faps
-        self._table = None
-        if n_faps <= self.TABLE_MAX_FAPS:
-            self._pattern_bit = 1 << np.arange(n_faps, dtype=np.int64)
-            patterns = (np.arange(1 << n_faps) >> np.arange(n_faps)[:, None]) & 1
-            self._table = np.stack(self.surcharges(patterns))
+        ids = np.arange(n_faps)
+        rows = ids[:, None]
+        # preference group of holder n for F-AP m: self, own cluster, other
+        member_of = partition.member_of
+        group = np.where(member_of[:, None] == member_of, 1, 2)
+        group[ids, ids] = 0
+        order = np.lexsort((-rates.coop, group), axis=-1)  # holder by rank
+        hop = group[rows, order] == 2
+        if params.intra_cluster_hop == "charged":
+            hop |= group[rows, order] == 1
+        m, r = np.nonzero(hop)
+        rate = rates.coop[m, order[m, r]]
+        extra_t = np.zeros((n_faps, n_faps + 1))
+        extra_e = np.zeros((n_faps, n_faps + 1))
+        extra_t[m, r] = size / rate
+        extra_e[m, r] = (powers[m] * size) / rate
+        extra_t[:, n_faps] = size / params.cloud_rate
+        extra_e[:, n_faps] = (params.cloud_power * size) / params.cloud_rate
+        self._extra_t = extra_t.ravel()
+        self._extra_e = extra_e.ravel()
+
+        flat = np.empty((n_faps, n_faps), dtype=np.intp)
+        flat[rows, order] = rows * (n_faps + 1) + ids
+        self._first_holder = []
+        for lo in range(0, n_faps, 8):
+            # column `code` holds the least flat index among the F-APs
+            # whose bit is set in it, "no holder" when none is; each row
+            # n appended doubles the codes
+            table = rows * (n_faps + 1) + n_faps
+            for n in range(lo, min(lo + 8, n_faps)):
+                table = np.hstack([table, np.minimum(table, flat[:, n, None])])
+            self._first_holder.append(table)
 
     def surcharges(self, columns: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Delay and energy surcharge over the access hop, per (F-AP, column).
@@ -315,34 +346,18 @@ class PlacementEvaluator:
         ``columns`` is any binary matrix with one row per F-AP; each
         column is read as the holders of one content.
         """
-        params = self.scenario.params
-        columns = np.ascontiguousarray(columns, dtype=np.uint8)
-        blocks = [
-            self.backend.placement_extras(
-                np.ascontiguousarray(columns[:, lo:lo + self.KERNEL_BLOCK]),
-                self.partition.member_of,
-                self.partition.num_clusters,
-                self.rates.coop,
-                self._tx_power,
-                params.content_size,
-                params.cloud_rate,
-                params.cloud_power,
-                self._charged,
-            )
-            for lo in range(0, columns.shape[1], self.KERNEL_BLOCK)
-        ]
-        if len(blocks) == 1:
-            return blocks[0]
-        extra_t, extra_e = zip(*blocks)
-        return np.concatenate(extra_t, axis=1), np.concatenate(extra_e, axis=1)
+        columns = np.asarray(columns, dtype=np.uint8)
+        first = None
+        for lo, table in zip(range(0, len(columns), 8), self._first_holder):
+            chunk = columns[lo:lo + 8]
+            held = table.take(_BIT_WEIGHTS[:len(chunk)] @ chunk, axis=1)
+            first = held if first is None else np.minimum(first, held, out=first)
+        return self._extra_t.take(first), self._extra_e.take(first)
 
     def evaluate(self, x: np.ndarray) -> EvalResult:
         params = self.scenario.params
         x = np.ascontiguousarray(x, dtype=np.uint8)
-        if self._table is None:
-            extra_t, extra_e = self.surcharges(x)
-        else:
-            extra_t, extra_e = self._table[:, :, self._pattern_bit @ x]
+        extra_t, extra_e = self.surcharges(x)
         delay = self.const_delay + float((self.mass * extra_t).sum())
         energy = (
             caching_energy(x, params)

@@ -19,7 +19,6 @@ its draws in whatever batches suit it; see :mod:`fogcache._kernels`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -34,8 +33,6 @@ __all__ = [
     "FaConfig",
     "FaResult",
     "brightness_normalize",
-    "attractiveness",
-    "repair",
     "run_fa",
 ]
 
@@ -104,45 +101,6 @@ def brightness_normalize(objectives: np.ndarray) -> np.ndarray:
     worst = objectives.max()
     best = objectives.min()
     return (worst - objectives) / (worst - best + 1e-12)
-
-
-def attractiveness(intensity: float, distance: float, gamma: float) -> float:
-    """Pull exerted by a firefly of given brightness at a given distance."""
-    return intensity * math.exp(-gamma * distance)
-
-
-def repair(
-    row: np.ndarray,
-    local_pop: np.ndarray,
-    slots: int,
-    fill: str = "full",
-) -> np.ndarray:
-    """Return a copy of one cache row trimmed or topped up to ``slots``.
-
-    Priority is local popularity, ties broken toward the lower content
-    id.  Over budget, only the ``slots`` highest-priority cached
-    contents survive; under budget with ``fill="full"``, the highest
-    priority uncached contents are added until the cache is full.
-    """
-    if row.shape != local_pop.shape:
-        raise ValueError("row and popularity must share a shape")
-    prio = np.argsort(-local_pop, kind="stable")
-    out = row.astype(np.uint8).copy()
-    kept = 0
-    for f in prio:
-        if out[f]:
-            if kept < slots:
-                kept += 1
-            else:
-                out[f] = 0
-    if fill == "full":
-        for f in prio:
-            if kept >= slots:
-                break
-            if not out[f]:
-                out[f] = 1
-                kept += 1
-    return out
 
 
 def _initial_swarm(

@@ -24,8 +24,6 @@ from fogcache import (
     request_energy,
 )
 
-from fogcache._kernels import get_backend
-
 from conftest import make_params, make_rates, make_scenario
 
 
@@ -288,31 +286,161 @@ def test_whole_set_brackets_singletons(small_instance):
         assert ev_one.evaluate(x).delay <= ev_solo.evaluate(x).delay + 1e-12
 
 
-@pytest.mark.parametrize("hop", ["free", "charged"])
-@pytest.mark.parametrize("table_max_faps, block", [(12, 1024), (2, 1024), (2, 7)])
-def test_pattern_table_equals_whole_matrix_kernel(monkeypatch, hop, table_max_faps,
-                                                  block):
-    """The pattern table and blocked kernel calls give the very numbers of
-    one kernel call on the whole placement."""
-    monkeypatch.setattr(PlacementEvaluator, "TABLE_MAX_FAPS", table_max_faps)
-    monkeypatch.setattr(PlacementEvaluator, "KERNEL_BLOCK", block)
-    params = SystemParams(num_faps=5, num_users=20, num_contents=40,
-                          content_size=4.0e9, capacity=4.0e10,
-                          intra_cluster_hop=hop)
-    scn = generate_scenario(params, 2)
-    rates = build_rate_table(scn)
-    part = Partition.from_labels([0, 0, 1, 2, 2])
+def masked_max_extras(x, member_of, n_clusters, coop, tx_power, size_bits,
+                      cloud_rate, cloud_power, charged_intra):
+    """Per (F-AP, content) delay and energy surcharge over the access hop,
+    by regime: the reference for the evaluator's rank tables.
+
+    A request lands in exactly one regime: cached inside the local
+    cluster (no surcharge, or one intra-cluster hop when that hop is
+    charged), cached somewhere else (one fronthaul hop from the best
+    reachable holder), or nowhere (cloud fetch).  Each regime takes the
+    best rate as a masked max over an (M, M, F) array.
+    """
+    n_faps, n_contents = x.shape
+    xb = x.astype(bool)
+    cluster_has = np.zeros((n_clusters, n_contents), dtype=bool)
+    for k in range(n_clusters):
+        rows = xb[member_of == k]
+        if rows.shape[0]:
+            cluster_has[k] = rows.any(axis=0)
+    local_has = cluster_has[member_of]
+    anywhere = cluster_has.any(axis=0)
+
+    extra_t = np.zeros((n_faps, n_contents))
+    extra_e = np.zeros((n_faps, n_contents))
+
+    # remote regime: best transfer rate among all holders (holders are
+    # outside the local cluster here, so self never competes)
+    masked = np.where(xb[None, :, :], coop[:, :, None], -np.inf)
+    best = masked.max(axis=1)
+    remote = ~local_has & anywhere[None, :]
+    if remote.any():
+        rows, cols = np.nonzero(remote)
+        rate = best[rows, cols]
+        extra_t[rows, cols] = size_bits / rate
+        extra_e[rows, cols] = (tx_power[rows] * size_bits) / rate
+
+    cloud_cols = ~anywhere
+    if cloud_cols.any():
+        extra_t[:, cloud_cols] = size_bits / cloud_rate
+        extra_e[:, cloud_cols] = (cloud_power * size_bits) / cloud_rate
+
+    if charged_intra:
+        # local-cluster hit served by a neighbor rather than the local
+        # F-AP itself costs one fronthaul hop from the best holder
+        same = member_of[:, None] == member_of[None, :]
+        np.fill_diagonal(same, False)
+        cand = np.where(
+            xb[None, :, :] & same[:, :, None], coop[:, :, None], -np.inf
+        )
+        best_in = cand.max(axis=1)
+        hop = local_has & ~xb
+        if hop.any():
+            rows, cols = np.nonzero(hop)
+            rate = best_in[rows, cols]
+            extra_t[rows, cols] = size_bits / rate
+            extra_e[rows, cols] = (tx_power[rows] * size_bits) / rate
+
+    return extra_t, extra_e
+
+
+def assert_rank_tables_exact(scn, rates, part, rng):
+    """Surcharges and evaluations equal the masked-max reference to the
+    bit, on placements of every density and, for up to 9 F-APs, on all
+    column patterns at once."""
+    params = scn.params
+    n_faps, n_contents = params.num_faps, params.num_contents
     ev = PlacementEvaluator(scn, rates, part)
-    rng = np.random.default_rng(4)
-    for _ in range(30):
-        x = (rng.random((5, 40)) < rng.uniform(0.05, 0.6)).astype(np.uint8)
-        extra_t, extra_e = get_backend().placement_extras(
+
+    def reference(x):
+        return masked_max_extras(
             x, part.member_of, part.num_clusters, rates.coop,
             params.fap_powers(), params.content_size, params.cloud_rate,
-            params.cloud_power, hop == "charged",
+            params.cloud_power, params.intra_cluster_hop == "charged",
         )
+
+    if n_faps <= 9:
+        codes = np.arange(1 << n_faps)
+        patterns = ((codes >> np.arange(n_faps)[:, None]) & 1).astype(np.uint8)
+        for got, want in zip(ev.surcharges(patterns), reference(patterns)):
+            assert np.array_equal(got, want)
+    for density in (0.0, 0.02, 0.1, 0.3, 0.6, 0.9, 1.0):
+        x = (rng.random((n_faps, n_contents)) < density).astype(np.uint8)
+        extra_t, extra_e = reference(x)
+        got_t, got_e = ev.surcharges(x)
+        assert np.array_equal(got_t, extra_t)
+        assert np.array_equal(got_e, extra_e)
         delay = ev.const_delay + float(np.sum(ev.mass * extra_t))
         energy = (caching_energy(x, params) + ev.const_energy
                   + float(np.sum(ev.mass * extra_e)))
         got = ev.evaluate(x)
         assert (got.delay, got.energy) == (delay, energy)
+
+
+PARTITIONS = {
+    "singletons": Partition.singletons,
+    "whole": Partition.whole_set,
+    # uneven clusters that interleave across the 8-row chunks
+    "mixed": lambda n: Partition.from_labels(np.arange(n) * 7 % 3),
+}
+
+
+@pytest.mark.parametrize("hop", ["free", "charged"])
+@pytest.mark.parametrize("n_faps, n_contents", [(12, 1024), (2, 1024), (2, 7)])
+def test_pattern_table_equals_whole_matrix_kernel(hop, n_faps, n_contents):
+    """The chunk and rank tables give the very numbers of one masked-max
+    kernel call on the whole placement: two chunks of rows (12 F-APs),
+    one short chunk (2 F-APs), wide and narrow placements."""
+    params = SystemParams(num_faps=n_faps, num_users=4 * n_faps,
+                          num_contents=n_contents, content_size=4.0e9,
+                          capacity=4.0e10, intra_cluster_hop=hop)
+    scn = generate_scenario(params, 2)
+    rates = build_rate_table(scn)
+    part = PARTITIONS["mixed"](n_faps)
+    assert_rank_tables_exact(scn, rates, part, np.random.default_rng(4))
+
+
+@pytest.mark.parametrize("hop", ["free", "charged"])
+@pytest.mark.parametrize("n_faps", [1, 5, 8, 9, 15])
+@pytest.mark.parametrize("partition", sorted(PARTITIONS))
+def test_rank_tables_equal_masked_max_kernel(hop, n_faps, partition):
+    """One F-AP, one chunk, an exact chunk boundary and a partial second
+    chunk, under every kind of partition and both hop charges."""
+    params = SystemParams(num_faps=n_faps, num_users=4 * n_faps, num_contents=40,
+                          content_size=4.0e9, capacity=4.0e10,
+                          intra_cluster_hop=hop)
+    scn = generate_scenario(params, n_faps)
+    rates = build_rate_table(scn)
+    part = PARTITIONS[partition](n_faps)
+    assert_rank_tables_exact(scn, rates, part, np.random.default_rng(n_faps))
+
+
+@pytest.mark.parametrize("hop", ["free", "charged"])
+def test_rank_tables_break_rate_ties_toward_own_cluster(hop):
+    """F-APs tied on rate across a cluster boundary: the own-cluster
+    holder comes first even when the other one has the lower index."""
+    params = make_params(num_faps=4, num_users=4, num_contents=12,
+                         intra_cluster_hop=hop)
+    scn = make_scenario(
+        params,
+        fap_pos=[[0.0, 0.0], [300.0, 0.0], [0.0, 300.0], [300.0, 300.0]],
+        user_pos=[[10.0, 0.0], [290.0, 0.0], [10.0, 300.0], [290.0, 300.0]],
+        demand=np.random.default_rng(5).dirichlet(np.ones(12), size=4),
+    )
+    # every off-diagonal rate of F-APs 0 and 3 is 1e6; 1 and 2 differ
+    coop = np.full((4, 4), 1.0e6)
+    coop[1] = [3.0e6, 0.0, 2.0e6, 1.0e6]
+    coop[2] = [1.0e6, 2.0e6, 0.0, 2.0e6]
+    np.fill_diagonal(coop, 0.0)
+    rates = make_rates(access=np.full((4, 4), 2.0e6), coop=coop)
+    part = Partition([[0, 1], [2, 3]], 4)
+    ev = PlacementEvaluator(scn, rates, part)
+    # F-AP 3 asks for content 0, held by F-APs 1 (other cluster) and 2
+    # (own cluster)
+    x = np.zeros((4, 12), dtype=np.uint8)
+    x[[1, 2], 0] = 1
+    extra_t, _ = ev.surcharges(x)
+    size = params.content_size
+    assert extra_t[3, 0] == (size / 1.0e6 if hop == "charged" else 0.0)
+    assert_rank_tables_exact(scn, rates, part, np.random.default_rng(3))

@@ -10,16 +10,52 @@ from fogcache import firefly
 from fogcache import (
     FaConfig,
     Partition,
-    attractiveness,
     brightness_normalize,
     evaluate,
     feasible,
-    repair,
     run_fa,
 )
 from fogcache._kernels import derive_key, get_backend
 
 from conftest import make_params, make_rates, make_scenario, scalar_pull
+
+
+# ---------------------------------------------------------------------------
+# scalar references of the vectorized kernels
+
+
+def attractiveness(intensity: float, distance: float, gamma: float) -> float:
+    """Pull exerted by a firefly of given brightness at a given distance."""
+    return intensity * math.exp(-gamma * distance)
+
+
+def repair(row, local_pop, slots, fill="full"):
+    """Return a copy of one cache row trimmed or topped up to ``slots``.
+
+    Priority is local popularity, ties broken toward the lower content
+    id.  Over budget, only the ``slots`` highest-priority cached
+    contents survive; under budget with ``fill="full"``, the highest
+    priority uncached contents are added until the cache is full.
+    """
+    if row.shape != local_pop.shape:
+        raise ValueError("row and popularity must share a shape")
+    prio = np.argsort(-local_pop, kind="stable")
+    out = row.astype(np.uint8).copy()
+    kept = 0
+    for f in prio:
+        if out[f]:
+            if kept < slots:
+                kept += 1
+            else:
+                out[f] = 0
+    if fill == "full":
+        for f in prio:
+            if kept >= slots:
+                break
+            if not out[f]:
+                out[f] = 1
+                kept += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -170,15 +206,32 @@ def test_repair_is_idempotent():
 
 
 def test_repair_agrees_with_batch_kernel():
+    """Budgets of 0, 3 and 10 of 12 contents on empty, full and random
+    rows, each with and without filling."""
     be = get_backend()
     rng = np.random.default_rng(21)
-    rows = rng.integers(0, 2, size=(6, 10)).astype(np.uint8)
-    pop = rng.random((6, 10))
+    rows = rng.integers(0, 2, size=(6, 12)).astype(np.uint8)
+    rows[0] = 0  # an empty row
+    rows[1] = 1  # a full row
+    pop = rng.random((6, 12))
+    pop[2, :6] = pop[2, 6:]  # tied popularity
     prio = np.argsort(-pop, axis=1, kind="stable").astype(np.int64)
-    batch = rows.copy()
-    be.repair(batch, prio, 3, True)
-    for m in range(6):
-        assert np.array_equal(batch[m], repair(rows[m], pop[m], 3))
+    for slots in (0, 3, 10):
+        for fill in (True, False):
+            batch = rows.copy()
+            be.repair(batch, prio, slots, fill)
+            for m in range(6):
+                expected = repair(rows[m], pop[m], slots, "full" if fill else "none")
+                assert np.array_equal(batch[m], expected), (slots, fill, m)
+
+
+def test_repair_kernel_rejects_non_contiguous_rows():
+    """The kernel writes through a flat view, which a strided placement
+    does not have: it raises instead of losing the writes."""
+    x = np.zeros((4, 6), dtype=np.uint8, order="F")
+    prio = np.tile(np.arange(6), (4, 1))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        get_backend().repair(x, prio, 2, True)
 
 
 # ---------------------------------------------------------------------------

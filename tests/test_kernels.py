@@ -2,8 +2,8 @@
 
 The RNG vectors are checked against the published splitmix64 reference
 sequence for seed 0, and the move kernel against its element-by-element
-definition.  The repair and surcharge kernels are checked against their
-references in test_firefly.py and test_cache.py.
+definition.  The repair kernel and the evaluator's surcharge tables are
+checked against their references in test_firefly.py and test_cache.py.
 """
 
 import math
