@@ -68,12 +68,6 @@ from .scenario import (
 from .social import (
     SocialGraph,
     build_social_graph,
-    cluster_preference,
-    contact_probability,
-    pair_contact,
-    popularity_similarity,
-    social_loss,
-    social_relationship,
 )
 
 __version__ = "0.1.0"
@@ -133,11 +127,5 @@ __all__ = [
     "zipf_distribution",
     "SocialGraph",
     "build_social_graph",
-    "cluster_preference",
-    "contact_probability",
-    "pair_contact",
-    "popularity_similarity",
-    "social_loss",
-    "social_relationship",
     "__version__",
 ]

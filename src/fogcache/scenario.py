@@ -139,6 +139,9 @@ class Scenario:
     demand: np.ndarray  # (U, F) request probabilities, rows sum to 1
     seed: int = 0
     _users_by_fap: Optional[list] = field(default=None, repr=False)
+    # built on first use by local_demand_mass; a scenario is treated as
+    # immutable once built, so the cached aggregate never goes stale
+    _demand_mass: Optional[np.ndarray] = field(default=None, repr=False)
 
     def validate(self) -> None:
         p = self.params
@@ -229,11 +232,21 @@ def generate_scenario(params: SystemParams, seed: int) -> Scenario:
 
 
 def local_demand_mass(scenario: Scenario) -> np.ndarray:
-    """Unnormalized per-F-AP demand: w[m, f] = sum of p_{u,f} over local users."""
-    p = scenario.params
-    mass = np.zeros((p.num_faps, p.num_contents))
-    np.add.at(mass, scenario.local_fap, scenario.demand)
-    return mass
+    """Unnormalized per-F-AP demand: w[m, f] = sum of p_{u,f} over local users.
+
+    Built once per scenario and shared by every caller (the evaluator,
+    local popularity, the social graph), so the array is read-only.
+    Rows are added in user order, the order ``np.add.at`` adds in, so
+    every element is bit-identical to that aggregation.
+    """
+    if scenario._demand_mass is None:
+        p = scenario.params
+        mass = np.zeros((p.num_faps, p.num_contents))
+        for u, m in enumerate(scenario.local_fap.tolist()):
+            mass[m] += scenario.demand[u]
+        mass.flags.writeable = False
+        object.__setattr__(scenario, "_demand_mass", mass)
+    return scenario._demand_mass
 
 
 def local_popularity(scenario: Scenario, m: int) -> np.ndarray:

@@ -1,21 +1,44 @@
 """Scenario generation: demand model, geometry, and local popularity."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from fogcache import (
+    FaConfig,
+    Partition,
+    PlacementEvaluator,
     SystemParams,
     all_local_popularity,
+    build_rate_table,
+    build_social_graph,
     capacity_slots,
+    exhaustive_optimal,
+    feasible,
     generate_scenario,
+    load_config,
     local_demand_mass,
     local_popularity,
+    run_fa,
+    run_hcg,
     zipf_distribution,
 )
 
 from conftest import make_params, make_scenario
+
+SMALL_SPEC = load_config(
+    str(Path(__file__).resolve().parent.parent / "configs" / "small.yaml")
+)
+
+
+def reference_demand_mass(scenario):
+    """The per-F-AP demand aggregate as one unbuffered ``np.add.at``."""
+    p = scenario.params
+    mass = np.zeros((p.num_faps, p.num_contents))
+    np.add.at(mass, scenario.local_fap, scenario.demand)
+    return mass
 
 
 # ---------------------------------------------------------------------------
@@ -240,3 +263,109 @@ def test_all_local_popularity_rows(full_shape):
         assert sums[m] == pytest.approx(expected, abs=1e-9)
         if counts[m]:
             np.testing.assert_allclose(pop[m], local_popularity(scn, m), rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# shared demand mass
+
+
+def _mass_cases():
+    full = SystemParams(num_faps=15, num_users=150, num_contents=1000)
+    for seed in range(5):
+        yield f"full-seed{seed}", lambda seed=seed: generate_scenario(full, seed)
+    for seed in SMALL_SPEC.seeds:
+        yield f"small-seed{seed}", lambda seed=seed: generate_scenario(
+            SMALL_SPEC.system, seed
+        )
+    yield "userless-fap", lambda: make_scenario(
+        make_params(num_faps=3, num_users=4, num_contents=3),
+        fap_pos=[[0.0, 0.0], [500.0, 0.0], [1000.0, 0.0]],
+        user_pos=[[10.0, 0.0], [20.0, 0.0], [990.0, 0.0], [5.0, 0.0]],
+        demand=[[0.2, 0.3, 0.5], [0.1, 0.1, 0.8], [0.6, 0.3, 0.1], [1 / 3] * 3],
+    )
+    yield "single-user", lambda: make_scenario(
+        make_params(num_users=1, num_contents=3),
+        fap_pos=[[0.0, 0.0], [400.0, 0.0]],
+        user_pos=[[390.0, 0.0]],
+        demand=[[0.7, 0.2, 0.1]],
+    )
+
+
+MASS_CASES = dict(_mass_cases())
+
+
+@pytest.mark.parametrize("case", list(MASS_CASES))
+def test_local_demand_mass_matches_add_at(case):
+    scn = MASS_CASES[case]()
+    assert local_demand_mass(scn).tobytes() == reference_demand_mass(scn).tobytes()
+
+
+def test_local_demand_mass_built_once_and_shared(full_shape):
+    _, scn = full_shape
+    mass = local_demand_mass(scn)
+    assert local_demand_mass(scn) is mass
+    rates = build_rate_table(scn)
+    evaluator = PlacementEvaluator(scn, rates, Partition.singletons(15))
+    assert evaluator.mass is mass
+
+
+def test_local_demand_mass_is_read_only(full_shape):
+    _, scn = full_shape
+    mass = local_demand_mass(scn)
+    with pytest.raises(ValueError):
+        mass[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        mass += 1.0
+    assert local_demand_mass(scn).tobytes() == reference_demand_mass(scn).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# co-located nodes
+
+
+@pytest.fixture
+def colocated():
+    """F-APs 0 and 1 share a point; user 0 sits exactly on it, user 3
+    exactly on F-AP 2.  Two slots per cache."""
+    params = make_params(
+        num_faps=3, num_users=4, num_contents=4, capacity=2.0e6,
+        interference_mode="geometric",
+    )
+    return make_scenario(
+        params,
+        fap_pos=[[300.0, 300.0], [300.0, 300.0], [700.0, 300.0]],
+        user_pos=[[300.0, 300.0], [320.0, 290.0], [450.0, 300.0], [700.0, 300.0]],
+        demand=[
+            [0.4, 0.3, 0.2, 0.1],
+            [0.1, 0.2, 0.3, 0.4],
+            [0.25, 0.25, 0.25, 0.25],
+            [0.7, 0.1, 0.1, 0.1],
+        ],
+    )
+
+
+def test_colocated_tie_goes_to_lower_index(colocated):
+    scn = colocated
+    assert scn.local_fap.tolist() == [0, 0, 0, 2]
+    assert scn.users_of(1).size == 0
+    # the shadowed F-AP aggregates nothing and has no popularity
+    assert not local_demand_mass(scn)[1].any()
+    assert not all_local_popularity(scn)[1].any()
+
+
+def test_colocated_pipeline_is_finite_and_feasible(colocated):
+    scn = colocated
+    params = scn.params
+    rates = build_rate_table(scn)
+    assert np.all(np.isfinite(rates.coop))
+    assert np.all(np.isfinite(rates.access))
+    graph = build_social_graph(scn, rates)
+    assert np.all(np.isfinite(graph.mutual))
+    partition = run_hcg(graph).partition
+    fa = run_fa(scn, rates, partition, FaConfig(population=6, max_iters=5, seed=0))
+    opt_x, opt = exhaustive_optimal(scn, rates, partition)
+    for x, res in ((fa.best_matrix, fa.best_eval), (opt_x, opt)):
+        assert feasible(x, params)
+        assert math.isfinite(res.objective)
+        assert math.isfinite(res.delay) and math.isfinite(res.energy)
+    assert fa.best_eval.objective >= opt.objective * (1.0 - 1e-9)

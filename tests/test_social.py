@@ -3,28 +3,156 @@
 The frozen numbers come from hand-composing the formulas on the
 social_toy fixture (two F-APs 300 m apart, one user each, demand rows
 with Pearson correlation exactly -13/14).
+
+The scalar functions below compute one pair at a time, straight from
+the formulas; they are the reference that the vectorised
+``build_social_graph`` is checked against.
 """
 
 import math
+from typing import Iterable, Optional
 
 import numpy as np
 import pytest
 
 from fogcache import (
+    LinkRateTable,
+    Scenario,
     SocialGraph,
     SystemParams,
     build_rate_table,
     build_social_graph,
-    cluster_preference,
-    contact_probability,
     generate_scenario,
-    pair_contact,
-    popularity_similarity,
-    social_loss,
-    social_relationship,
 )
 
 from conftest import make_params, make_rates, make_scenario
+
+
+# ---------------------------------------------------------------------------
+# scalar reference pipeline
+
+
+def contact_probability(distance: float, density: float) -> float:
+    """Chance that two users within ``distance`` of each other meet.
+
+    Grows from 0 with distance and saturates below 1.
+    """
+    if distance < 0:
+        raise ValueError("distance must be non-negative")
+    if density < 0:
+        raise ValueError("density must be non-negative")
+    return 1.0 - math.exp(-density * math.pi * distance * distance)
+
+
+def pair_contact(scenario: Scenario, m: int, n: int) -> float:
+    """Expected number of contacts between the user groups of m and n.
+
+    Sums the contact probability over every cross pair, so the value
+    can exceed 1 for well-populated groups; either group empty gives 0.
+    """
+    users_m = scenario.users_of(m)
+    users_n = scenario.users_of(n)
+    if users_m.size == 0 or users_n.size == 0:
+        return 0.0
+    density = scenario.params.effective_user_density
+    pos_m = scenario.user_pos[users_m]
+    pos_n = scenario.user_pos[users_n]
+    diff = pos_m[:, None, :] - pos_n[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    return float(np.sum(1.0 - np.exp(-density * math.pi * dist * dist)))
+
+
+def popularity_similarity(scenario: Scenario, m: int, n: int) -> float:
+    """Correlation between the local popularity profiles of m and n.
+
+    Uses the Pearson coefficient (covariance over the product of
+    standard deviations); a profile with no spread, including that of
+    an F-AP with no users, yields 0.  Setting
+    ``params.similarity_denominator = "var"`` divides by the product of
+    variances instead, which leaves the sign but not the scale intact.
+    """
+    s_m = _popularity_row(scenario, m)
+    s_n = _popularity_row(scenario, n)
+    var_m = float(np.var(s_m))
+    var_n = float(np.var(s_n))
+    if var_m == 0.0 or var_n == 0.0:
+        return 0.0
+    cov = float(np.mean((s_m - s_m.mean()) * (s_n - s_n.mean())))
+    if scenario.params.similarity_denominator == "var":
+        return cov / (var_m * var_n)
+    return cov / math.sqrt(var_m * var_n)
+
+
+def _popularity_row(scenario: Scenario, m: int) -> np.ndarray:
+    if not 0 <= m < scenario.params.num_faps:
+        raise ValueError(f"F-AP index {m} out of range")
+    users = scenario.users_of(m)
+    if users.size == 0:
+        return np.zeros(scenario.params.num_contents)
+    total = scenario.demand[users].sum(axis=0)
+    return total / total.sum()
+
+
+def social_loss(scenario: Scenario, rates: LinkRateTable, m: int, n: int) -> float:
+    """Cost (J) F-AP m expects from cooperating with F-AP n.
+
+    Covers caching on behalf of m's users plus pushing every content
+    once over the m-to-n fronthaul for each of them; an F-AP with no
+    users loses nothing.
+    """
+    if m == n:
+        raise ValueError("cooperation loss is defined between distinct F-APs")
+    params = scenario.params
+    users_m = scenario.users_of(m)
+    if users_m.size == 0:
+        return 0.0
+    demand_sum = float(scenario.demand[users_m].sum())
+    p_m = params.fap_powers()[m]
+    fronthaul = params.num_contents * users_m.size * p_m / rates.coop[m, n]
+    return params.content_size * (params.cache_coeff * demand_sum + fronthaul)
+
+
+def social_relationship(
+    scenario: Scenario,
+    rates: LinkRateTable,
+    m: int,
+    n: int,
+    delta: Optional[float] = None,
+) -> float:
+    """Directed relationship score of m toward n.
+
+    Gain (contact times similarity) minus ``delta`` times the
+    cooperation loss, damped by distance; zero beyond the cutoff.
+    """
+    if m == n:
+        return 0.0
+    params = scenario.params
+    if delta is None:
+        delta = params.social_delta
+    d = float(
+        np.hypot(
+            scenario.fap_pos[m, 0] - scenario.fap_pos[n, 0],
+            scenario.fap_pos[m, 1] - scenario.fap_pos[n, 1],
+        )
+    )
+    if d > params.dist_threshold:
+        return 0.0
+    gain = pair_contact(scenario, m, n) * popularity_similarity(scenario, m, n)
+    loss = social_loss(scenario, rates, m, n)
+    return math.exp(-d / params.dist_threshold) * (gain - delta * loss)
+
+
+def cluster_preference(graph: SocialGraph, m: int, members: Iterable[int]) -> float:
+    """Utility F-AP m derives from sitting in a cluster with ``members``.
+
+    Sums mutual utility toward each member; m itself may appear in the
+    iterable and contributes zero.  The empty cluster is worth 0.
+    """
+    idx = np.asarray(list(members), dtype=np.int64)
+    if idx.size == 0:
+        return 0.0
+    return float(np.sum(graph.mutual[m, idx]))
+
 
 # frozen hand values for social_toy (see conftest docstring)
 CONTACT_300 = 0.43191639412226557
