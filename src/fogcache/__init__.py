@@ -62,7 +62,6 @@ from .scenario import (
     all_local_popularity,
     generate_scenario,
     local_demand_mass,
-    local_popularity,
     zipf_distribution,
 )
 from .social import (
@@ -123,7 +122,6 @@ __all__ = [
     "all_local_popularity",
     "generate_scenario",
     "local_demand_mass",
-    "local_popularity",
     "zipf_distribution",
     "SocialGraph",
     "build_social_graph",

@@ -113,25 +113,19 @@ def _move_np(
     gamma: float,
     lam: float,
     keys: np.ndarray,
-    per_element: bool,
 ) -> None:
     """Pull flat row ``swarm[j]`` toward each ``swarm[peers[t]]`` in turn, in place.
 
     Step t has attraction ``beta = pull[t] * exp(-gamma * r)``, r the
-    Hamming distance at that moment, and sets each element to 1 iff
+    Hamming distance at that moment, and sets each element e to 1 iff
     xj + beta*(xi - xj) + lam*(u - 1/2) - 1/2 >= 0, with u drawn by
-    ``uniform_at(keys[t], e)`` (e = 0 for every element unless
-    ``per_element``).  For lam <= 1 an element with xj == xi can never
-    flip, so only the differing positions are drawn, step by step;
-    otherwise the draws of all steps are made up front in one batch.
+    ``uniform_at(keys[t], e)``.  For lam <= 1 an element with xj == xi
+    can never flip, so only the differing positions are drawn, step by
+    step; otherwise all steps draw up front in one batch.
     """
     x = swarm[j]
-    sparse = lam <= 1.0
-    if not per_element:
-        noise = lam * (uniform_at(keys, np.zeros(1, dtype=np.int64)) - 0.5)
-    elif not sparse:
+    if lam > 1.0:
         noise = lam * (uniform_at(keys[:, None], np.arange(x.size)) - 0.5)
-    if not sparse:
         a = x.astype(np.float64)
         for b, n, p in zip(swarm[peers].astype(np.float64), noise, pull.tolist()):
             d = b - a
@@ -150,23 +144,19 @@ def _move_np(
         beta = pull[t] * math.exp(-gamma * idx.size)
         a = x[idx].astype(np.float64)
         arg = a + beta * (b[idx] - a)
-        if per_element:
-            arg = arg + lam * (uniform_at(keys[t], idx) - 0.5)
-        else:
-            arg = arg + noise[t]
+        arg = arg + lam * (uniform_at(keys[t], idx) - 0.5)
         arg = arg - 0.5
         x[idx] = arg >= 0.0
 
 
-def _repair_np(x: np.ndarray, prio: np.ndarray, slots: int, fill: bool) -> None:
-    """Enforce the per-row slot budget in place.
+def _repair_np(x: np.ndarray, prio: np.ndarray, slots: int) -> None:
+    """Fill every row to exactly its slot budget, in place.
 
-    prio[m] lists content ids from most to least locally popular.  Rows
-    over budget keep their first ``slots`` cached contents in that
-    order; when ``fill`` is set, rows under budget take the most
-    popular uncached contents until full, which amounts to keeping the
-    first ``slots`` entries of "cached in priority order, then uncached
-    in priority order".
+    prio[m] lists content ids from most to least locally popular.  Row
+    m keeps the first ``slots`` entries of "its cached contents in
+    priority order, then its uncached ones in priority order": a row
+    over budget evicts its least popular cached contents, and a row
+    under budget takes the most popular uncached ones until full.
     """
     n_rows, n_cols = x.shape
     # one flat index gathers and scatters faster than a 2-D fancy index;
@@ -177,14 +167,10 @@ def _repair_np(x: np.ndarray, prio: np.ndarray, slots: int, fill: bool) -> None:
     xf = x.reshape(-1)
     cached = (xf[flat] != 0).reshape(n_rows, n_cols)
     rank = np.cumsum(cached, axis=1)
-    if fill:
-        # position of an uncached entry: all cached ones, then the
-        # uncached ones up to and including it
-        hole_pos = rank[:, -1:] + np.arange(1, n_cols + 1) - rank
-        keep = np.where(cached, rank, hole_pos) <= slots
-    else:
-        keep = cached & (rank <= slots)
-    xf[flat] = keep.ravel()
+    # position of an uncached entry: all cached ones, then the uncached
+    # ones up to and including it
+    hole_pos = rank[:, -1:] + np.arange(1, n_cols + 1) - rank
+    xf[flat] = (np.where(cached, rank, hole_pos) <= slots).ravel()
 
 
 # ---------------------------------------------------------------------------

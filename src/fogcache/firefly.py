@@ -43,16 +43,13 @@ _STREAM_MOVE = 0xF2
 
 @dataclass(frozen=True)
 class FaConfig:
-    """Swarm size, iteration budget, and move/repair behavior."""
+    """Swarm size, iteration budget (always run in full), move constants."""
 
     population: int = 30
     max_iters: int = 200
     gamma: float = 0.001  # attractiveness decay per unit Hamming distance
     lambda_rand: float = 0.5  # randomization strength
     seed: int = 0
-    stall_limit: Optional[int] = None  # stop after this many flat iterations
-    repair_fill: str = "full"  # "full" tops caches up, "none" only evicts
-    epsilon_scope: str = "element"  # fresh noise per element or per matrix
 
     def __post_init__(self):
         if self.population < 2:
@@ -64,12 +61,6 @@ class FaConfig:
             raise ValueError("gamma must be non-negative")
         if not self.lambda_rand >= 0:
             raise ValueError("lambda_rand must be non-negative")
-        if self.stall_limit is not None and self.stall_limit < 1:
-            raise ValueError("stall_limit must be >= 1 when set")
-        if self.repair_fill not in ("full", "none"):
-            raise ValueError("repair_fill must be 'full' or 'none'")
-        if self.epsilon_scope not in ("element", "matrix"):
-            raise ValueError("epsilon_scope must be 'element' or 'matrix'")
 
 
 @dataclass
@@ -144,14 +135,12 @@ def run_fa(
     pop_rows = all_local_popularity(scenario)
     # repair priority: most locally popular first, index breaks ties
     prio = np.argsort(-pop_rows, axis=1, kind="stable").astype(np.int64)
-    fill = config.repair_fill == "full"
-    per_element = config.epsilon_scope == "element"
 
     swarm = np.stack(
         _initial_swarm(scenario, pop_rows, slots, config.population, config.seed)
     )
     for x in swarm:
-        be.repair(x, prio, slots, fill)
+        be.repair(x, prio, slots)
     evals = [evaluator.evaluate(x) for x in swarm]
     objectives = np.asarray([e.objective for e in evals])
 
@@ -164,10 +153,7 @@ def run_fa(
 
     rows = swarm.reshape(config.population, -1)
     ids = np.arange(config.population)
-    stall = 0
-    iterations = 0
     for q in range(config.max_iters):
-        iterations = q + 1
         intensity = brightness_normalize(objectives)
         keys = fold_keys(
             derive_key(config.seed, _STREAM_MOVE, q), ids[:, None], ids[None, :]
@@ -178,27 +164,22 @@ def run_fa(
         for j in moved:
             peers = np.flatnonzero(intensity > intensity[j])
             be.move(rows, j, peers, intensity[peers], config.gamma,
-                    config.lambda_rand, keys[j, peers], per_element)
-            be.repair(swarm[j], prio, slots, fill)
-        improved = False
+                    config.lambda_rand, keys[j, peers])
+            be.repair(swarm[j], prio, slots)
         for j in moved:
             evals[j] = evaluator.evaluate(swarm[j])
             objectives[j] = evals[j].objective
             if objectives[j] < best_eval.objective:
                 best_eval = evals[j]
                 best_matrix = swarm[j].copy()
-                improved = True
         if not feasible(swarm.reshape(-1, params.num_contents), params):
             raise AssertionError("swarm left the capacity region")
         history.append((best_eval.objective, best_eval.delay, best_eval.energy))
-        stall = 0 if improved else stall + 1
-        if config.stall_limit is not None and stall >= config.stall_limit:
-            break
 
     return FaResult(
         best_matrix=best_matrix,
         best_eval=best_eval,
         history=history,
-        iterations=iterations,
+        iterations=config.max_iters,
         population=list(swarm),
     )

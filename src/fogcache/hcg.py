@@ -37,14 +37,13 @@ _MASK64 = (1 << 64) - 1
 class HcgConfig:
     """Knobs for the coalition formation loop.
 
-    ``initial_clusters`` defaults to ceil(M / 3); ``top_candidates``
-    limits how many preferred clusters each F-AP tries per turn (None
-    tries them all); ``max_passes`` caps full sweeps over the F-APs.
+    ``initial_clusters`` defaults to ceil(M / 3); ``max_passes`` caps
+    full sweeps over the F-APs.  Each turn an F-AP tries every cluster
+    it strictly prefers, best first, and joins the first open one.
     """
 
     initial_clusters: Optional[int] = None
     max_passes: int = 100
-    top_candidates: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class HcgConfig:
             raise ValueError("initial_clusters must be >= 1")
         if self.max_passes < 1:
             raise ValueError("max_passes must be >= 1")
-        if self.top_candidates is not None and self.top_candidates < 1:
-            raise ValueError("top_candidates must be >= 1")
 
 
 @dataclass
@@ -147,8 +144,6 @@ def run_hcg(
             if not options:
                 continue
             options.sort(key=lambda vk: (-vk[0], vk[1]))
-            if config.top_candidates is not None:
-                options = options[: config.top_candidates]
             for value, target in options:
                 if target < len(clusters):
                     members = clusters[target]

@@ -61,16 +61,13 @@ def interference_at(
 ) -> float:
     """Interference power (W) at a receiver, by the configured mode.
 
-    ``none`` gives 0, ``constant`` the configured constant, and
+    ``constant`` gives the configured constant (0 W by default), and
     ``geometric`` sums the received power of every F-AP other than the
     serving one (plus any ids in ``exclude``, used for F-AP receivers
     that do not interfere with themselves).
     """
     params = scenario.params
-    mode = params.interference_mode
-    if mode == "none":
-        return 0.0
-    if mode == "constant":
+    if params.interference_mode == "constant":
         return params.interference_const
     powers = params.fap_powers()
     skip = {int(serving_fap)} | {int(e) for e in exclude}
@@ -131,11 +128,7 @@ def build_rate_table(scenario: Scenario) -> LinkRateTable:
     d_ff = np.maximum(np.sqrt(np.sum(diff_ff * diff_ff, axis=2)), floor)
     recv_ff = powers[:, None] * d_ff ** (-alpha)
 
-    mode = params.interference_mode
-    if mode == "none":
-        i_au = 0.0
-        i_ff = 0.0
-    elif mode == "constant":
+    if params.interference_mode == "constant":
         i_au = params.interference_const
         i_ff = params.interference_const
     else:

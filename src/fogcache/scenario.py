@@ -19,7 +19,6 @@ __all__ = [
     "Scenario",
     "zipf_distribution",
     "generate_scenario",
-    "local_popularity",
     "all_local_popularity",
     "local_demand_mass",
     "capacity_slots",
@@ -27,9 +26,14 @@ __all__ = [
 
 _MASK64 = (1 << 64) - 1
 
-_INTERFERENCE_MODES = ("none", "constant", "geometric")
+_INTERFERENCE_MODES = ("constant", "geometric")
 _INTRA_HOP_MODES = ("free", "charged")
-_SIMILARITY_DENOMS = ("std", "var")
+_POSITIVE = ("content_size", "bw_access", "bw_coop", "noise", "cloud_power",
+             "cloud_rate", "pathloss_alpha", "side_length", "dist_threshold",
+             "min_distance")
+_NON_NEGATIVE = ("capacity", "cache_coeff", "zipf_eta", "social_delta",
+                 "interference_const")
+_UNIT_INTERVAL = ("weight", "pref_shuffle")
 
 
 @dataclass(frozen=True)
@@ -38,7 +42,8 @@ class SystemParams:
 
     All quantities are in SI base units: bits, seconds, watts, joules,
     meters, hertz.  Powers given in dBm or sizes in GB must be converted
-    before construction (see :mod:`fogcache.config`).
+    before construction (see :mod:`fogcache.config`).  Every float must
+    be finite; NaN and infinity are rejected.
     """
 
     num_faps: int = 15
@@ -64,46 +69,33 @@ class SystemParams:
     interference_const: float = 0.0  # W, used by the constant mode
     pref_shuffle: float = 0.3  # fraction of ranks permuted per user
     intra_cluster_hop: str = "free"
-    similarity_denominator: str = "std"
     min_distance: float = 1.0  # m, pathloss clamp
 
     def __post_init__(self):
         if self.num_faps < 1 or self.num_users < 1 or self.num_contents < 1:
             raise ValueError("num_faps, num_users and num_contents must be >= 1")
-        for name in ("content_size", "bw_access", "bw_coop", "noise",
-                     "cloud_power", "cloud_rate", "side_length",
-                     "dist_threshold", "min_distance"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if self.capacity < 0:
-            raise ValueError("capacity must be non-negative")
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError("weight must lie in [0, 1]")
-        if self.pathloss_alpha <= 0:
-            raise ValueError("pathloss_alpha must be positive")
-        if self.cache_coeff < 0:
-            raise ValueError("cache_coeff must be non-negative")
-        if self.zipf_eta < 0:
-            raise ValueError("zipf_eta must be non-negative")
-        if self.social_delta < 0:
-            raise ValueError("social_delta must be non-negative")
-        if not 0.0 <= self.pref_shuffle <= 1.0:
-            raise ValueError("pref_shuffle must lie in [0, 1]")
+        # each bound is written so that NaN fails it, and inf is out of range
+        for name in _POSITIVE:
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        for name in _NON_NEGATIVE:
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite")
+        for name in _UNIT_INTERVAL:
+            if not 0 <= getattr(self, name) <= 1:
+                raise ValueError(f"{name} must lie in [0, 1]")
         if self.interference_mode not in _INTERFERENCE_MODES:
             raise ValueError(f"interference_mode must be one of {_INTERFERENCE_MODES}")
-        if self.interference_const < 0:
-            raise ValueError("interference_const must be non-negative")
         if self.intra_cluster_hop not in _INTRA_HOP_MODES:
             raise ValueError(f"intra_cluster_hop must be one of {_INTRA_HOP_MODES}")
-        if self.similarity_denominator not in _SIMILARITY_DENOMS:
-            raise ValueError(
-                f"similarity_denominator must be one of {_SIMILARITY_DENOMS}"
-            )
-        if self.user_density is not None and self.user_density <= 0:
-            raise ValueError("user_density must be positive when given")
+        if self.user_density is not None and not 0 < self.user_density < math.inf:
+            raise ValueError("user_density must be positive and finite when given")
         powers = self.fap_powers()
-        if powers.shape != (self.num_faps,) or np.any(powers <= 0):
-            raise ValueError("fap_power must be a positive scalar or one value per F-AP")
+        finite_positive = np.isfinite(powers) & (powers > 0)
+        if powers.shape != (self.num_faps,) or not finite_positive.all():
+            raise ValueError(
+                "fap_power must be a positive finite scalar or one such value per F-AP"
+            )
 
     def fap_powers(self) -> np.ndarray:
         """Transmit power per F-AP as an array of shape (num_faps,)."""
@@ -138,7 +130,6 @@ class Scenario:
     local_fap: np.ndarray  # (U,) index of each user's nearest F-AP
     demand: np.ndarray  # (U, F) request probabilities, rows sum to 1
     seed: int = 0
-    _users_by_fap: Optional[list] = field(default=None, repr=False)
     # built on first use by local_demand_mass; a scenario is treated as
     # immutable once built, so the cached aggregate never goes stale
     _demand_mass: Optional[np.ndarray] = field(default=None, repr=False)
@@ -159,21 +150,6 @@ class Scenario:
             raise ValueError("demand must be non-negative")
         if not np.allclose(self.demand.sum(axis=1), 1.0, rtol=0, atol=1e-9):
             raise ValueError("demand rows must each sum to 1")
-
-    def users_of(self, m: int) -> np.ndarray:
-        """Indices of users whose local F-AP is m."""
-        if not 0 <= m < self.params.num_faps:
-            raise ValueError(f"F-AP index {m} out of range")
-        if self._users_by_fap is None:
-            groups = [[] for _ in range(self.params.num_faps)]
-            for u, fap in enumerate(self.local_fap):
-                groups[int(fap)].append(u)
-            object.__setattr__(
-                self,
-                "_users_by_fap",
-                [np.asarray(g, dtype=np.int64) for g in groups],
-            )
-        return self._users_by_fap[m]
 
 
 def zipf_distribution(eta: float, num_contents: int) -> np.ndarray:
@@ -247,20 +223,6 @@ def local_demand_mass(scenario: Scenario) -> np.ndarray:
         mass.flags.writeable = False
         object.__setattr__(scenario, "_demand_mass", mass)
     return scenario._demand_mass
-
-
-def local_popularity(scenario: Scenario, m: int) -> np.ndarray:
-    """Normalized content popularity among the users local to F-AP m.
-
-    An F-AP with no local users gets the all-zero vector.
-    """
-    if not 0 <= m < scenario.params.num_faps:
-        raise ValueError(f"F-AP index {m} out of range")
-    users = scenario.users_of(m)
-    if users.size == 0:
-        return np.zeros(scenario.params.num_contents)
-    total = scenario.demand[users].sum(axis=0)
-    return total / total.sum()
 
 
 def all_local_popularity(scenario: Scenario) -> np.ndarray:

@@ -91,9 +91,8 @@ def build_social_graph(
     pop = all_local_popularity(scenario)
     centered = pop - pop.mean(axis=1, keepdims=True)
     cov = (centered @ centered.T) / params.num_contents
-    var = np.diagonal(cov).copy()
-    spread = np.sqrt(var) if params.similarity_denominator == "std" else var
-    denom = spread[:, None] * spread[None, :]
+    std = np.sqrt(np.diagonal(cov))
+    denom = std[:, None] * std[None, :]
     similarity = np.zeros((m_count, m_count))
     np.divide(cov, denom, out=similarity, where=denom > 0)
 

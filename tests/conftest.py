@@ -47,19 +47,18 @@ def subprocess_env(**extra) -> dict:
     return env
 
 
-def scalar_pull(xj, xi, beta, lam, key, per_element=True):
+def scalar_pull(xj, xi, beta, lam, key):
     """One pairwise firefly step, element by element in plain floats.
 
     Element e becomes 1 iff xj + beta*(xi - xj) + lam*(u - 1/2) - 1/2
-    >= 0 with u = uniform_at(key, e), or uniform_at(key, 0) for every
-    element when not per_element.  For lam <= 1 equal elements are left
-    alone, as they can never flip.
+    >= 0 with u = uniform_at(key, e).  For lam <= 1 equal elements are
+    left alone, as they can never flip.
     """
     out = xj.copy()
     for e in range(xj.size):
         if lam <= 1.0 and xj[e] == xi[e]:
             continue
-        u = float(uniform_at(key, np.array([e if per_element else 0]))[0])
+        u = float(uniform_at(key, np.array([e]))[0])
         a, b = float(xj[e]), float(xi[e])
         arg = a + beta * (b - a)
         arg = arg + lam * (u - 0.5)
@@ -68,8 +67,30 @@ def scalar_pull(xj, xi, beta, lam, key, per_element=True):
     return out
 
 
+def users_of(scenario: Scenario, m: int) -> np.ndarray:
+    """Indices of users whose local F-AP is m, in increasing order."""
+    if not 0 <= m < scenario.params.num_faps:
+        raise ValueError(f"F-AP index {m} out of range")
+    return np.flatnonzero(scenario.local_fap == m)
+
+
+def local_popularity(scenario: Scenario, m: int) -> np.ndarray:
+    """Normalized content popularity among the users local to F-AP m.
+
+    Sums the demand rows of m's users directly; the reference for
+    :func:`fogcache.all_local_popularity`.  An F-AP with no local users
+    gets the all-zero vector.
+    """
+    users = users_of(scenario, m)
+    if users.size == 0:
+        return np.zeros(scenario.params.num_contents)
+    total = scenario.demand[users].sum(axis=0)
+    return total / total.sum()
+
+
 def make_params(**overrides) -> SystemParams:
-    """Toy-friendly parameter set: unit-ish numbers, no interference."""
+    """Toy-friendly parameter set: unit-ish numbers, no interference
+    (the default constant interference of 0 W)."""
     base = dict(
         num_faps=2,
         num_users=2,
@@ -86,7 +107,6 @@ def make_params(**overrides) -> SystemParams:
         weight=0.01,
         zipf_eta=0.5,
         side_length=1000.0,
-        interference_mode="none",
     )
     base.update(overrides)
     return SystemParams(**base)

@@ -27,7 +27,7 @@ from fogcache import (
 from fogcache._kernels import derive_key
 from fogcache.experiment import _TAG_HCG
 
-from conftest import make_params, make_rates, make_scenario
+from conftest import local_popularity, make_params, make_rates, make_scenario
 
 # the instance of the near-optimality acceptance gate
 SMALL = SystemParams(
@@ -147,8 +147,6 @@ def test_greedy_is_idempotent_and_feasible(small_instance):
 
 def test_greedy_rows_follow_each_fap(small_instance):
     scn, _ = small_instance
-    from fogcache import local_popularity
-
     x = greedy_local(scn)
     for m in range(3):
         pop = local_popularity(scn, m)

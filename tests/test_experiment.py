@@ -3,6 +3,7 @@
 import csv
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from fogcache import (
 from fogcache.cli import main
 from fogcache.config import parse_config
 from fogcache.experiment import ResultRow
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
 SMALL_SYSTEM = dict(
     num_faps=3,
@@ -129,6 +132,16 @@ def test_parse_config_rejects_unknown_keys():
     # the kernels have one implementation, so there is nothing to select
     with pytest.raises(ValueError, match="unknown key"):
         parse_config({"fa": {"backend": "numpy"}})
+    # the paper's FA and HCG have one move, one repair and one join rule
+    for section, key, value in (
+        ("fa", "epsilon_scope", "matrix"),
+        ("fa", "repair_fill", "none"),
+        ("fa", "stall_limit", 3),
+        ("hcg", "top_candidates", 1),
+        ("system", "similarity_denominator", "var"),
+    ):
+        with pytest.raises(ValueError, match="unknown key"):
+            parse_config({section: {key: value}})
     with pytest.raises(ValueError, match="section"):
         parse_config({"systems": {}})
 
@@ -412,6 +425,13 @@ def test_cli_verify(config_file, capsys):
     assert code == 0
     assert "[PASS]" in out
     assert "[FAIL]" not in out
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_loads_and_verifies(path, capsys):
+    load_config(str(path))
+    assert main(["verify", str(path)]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
 
 
 def test_cli_dump_social(config_file, tmp_path):

@@ -29,13 +29,13 @@ def attractiveness(intensity: float, distance: float, gamma: float) -> float:
     return intensity * math.exp(-gamma * distance)
 
 
-def repair(row, local_pop, slots, fill="full"):
+def repair(row, local_pop, slots):
     """Return a copy of one cache row trimmed or topped up to ``slots``.
 
     Priority is local popularity, ties broken toward the lower content
     id.  Over budget, only the ``slots`` highest-priority cached
-    contents survive; under budget with ``fill="full"``, the highest
-    priority uncached contents are added until the cache is full.
+    contents survive; under budget, the highest priority uncached
+    contents are added until the cache is full.
     """
     if row.shape != local_pop.shape:
         raise ValueError("row and popularity must share a shape")
@@ -48,13 +48,12 @@ def repair(row, local_pop, slots, fill="full"):
                 kept += 1
             else:
                 out[f] = 0
-    if fill == "full":
-        for f in prio:
-            if kept >= slots:
-                break
-            if not out[f]:
-                out[f] = 1
-                kept += 1
+    for f in prio:
+        if kept >= slots:
+            break
+        if not out[f]:
+            out[f] = 1
+            kept += 1
     return out
 
 
@@ -93,7 +92,7 @@ def test_attractiveness_limits():
 # the move rule, on the move kernel with one peer and no distance decay
 
 
-def pull_once(xj, xi, beta, lam, per_element=True, key=7):
+def pull_once(xj, xi, beta, lam, key=7):
     """Move firefly 0 toward firefly 1 with attraction ``beta``.
 
     The kernel's result is checked against :func:`conftest.scalar_pull`
@@ -101,10 +100,9 @@ def pull_once(xj, xi, beta, lam, per_element=True, key=7):
     """
     swarm = np.stack([xj, xi]).astype(np.uint8)
     keys = np.array([key], dtype=np.uint64)
-    get_backend().move(swarm, 0, np.array([1]), np.array([beta]), 0.0, lam,
-                       keys, per_element)
+    get_backend().move(swarm, 0, np.array([1]), np.array([beta]), 0.0, lam, keys)
     assert np.array_equal(swarm[1], xi)
-    expected = scalar_pull(xj, xi, beta, lam, key, per_element)
+    expected = scalar_pull(xj, xi, beta, lam, key)
     assert np.array_equal(swarm[0], expected)
     return swarm[0]
 
@@ -147,16 +145,6 @@ def test_move_is_deterministic_given_state():
     assert np.array_equal(a, b)
 
 
-def test_move_matrix_scope_flips_together():
-    # one shared draw: every equal-state element gets the same outcome,
-    # where per-element draws under the same key split them
-    x = np.zeros(64, dtype=np.uint8)
-    shared = pull_once(x, x.copy(), 0.0, 2.0, per_element=False, key=1)
-    assert shared.min() == shared.max()
-    split = pull_once(x, x.copy(), 0.0, 2.0, per_element=True, key=1)
-    assert split.min() != split.max()
-
-
 # ---------------------------------------------------------------------------
 # repair
 
@@ -187,14 +175,6 @@ def test_repair_tie_breaks_toward_low_index():
     assert repair(row, pop, 2).tolist() == [1, 1, 0, 0]
 
 
-def test_repair_evict_only_mode():
-    row = np.array([1, 0, 0, 0], dtype=np.uint8)
-    pop = np.array([0.1, 0.2, 0.3, 0.4])
-    assert repair(row, pop, 3, fill="none").tolist() == [1, 0, 0, 0]
-    over = np.array([1, 1, 1, 1], dtype=np.uint8)
-    assert repair(over, pop, 2, fill="none").tolist() == [0, 0, 1, 1]
-
-
 def test_repair_is_idempotent():
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -207,7 +187,7 @@ def test_repair_is_idempotent():
 
 def test_repair_agrees_with_batch_kernel():
     """Budgets of 0, 3 and 10 of 12 contents on empty, full and random
-    rows, each with and without filling."""
+    rows."""
     be = get_backend()
     rng = np.random.default_rng(21)
     rows = rng.integers(0, 2, size=(6, 12)).astype(np.uint8)
@@ -217,12 +197,11 @@ def test_repair_agrees_with_batch_kernel():
     pop[2, :6] = pop[2, 6:]  # tied popularity
     prio = np.argsort(-pop, axis=1, kind="stable").astype(np.int64)
     for slots in (0, 3, 10):
-        for fill in (True, False):
-            batch = rows.copy()
-            be.repair(batch, prio, slots, fill)
-            for m in range(6):
-                expected = repair(rows[m], pop[m], slots, "full" if fill else "none")
-                assert np.array_equal(batch[m], expected), (slots, fill, m)
+        batch = rows.copy()
+        be.repair(batch, prio, slots)
+        for m in range(6):
+            expected = repair(rows[m], pop[m], slots)
+            assert np.array_equal(batch[m], expected), (slots, m)
 
 
 def test_repair_kernel_rejects_non_contiguous_rows():
@@ -231,7 +210,7 @@ def test_repair_kernel_rejects_non_contiguous_rows():
     x = np.zeros((4, 6), dtype=np.uint8, order="F")
     prio = np.tile(np.arange(6), (4, 1))
     with pytest.raises(ValueError, match="C-contiguous"):
-        get_backend().repair(x, prio, 2, True)
+        get_backend().repair(x, prio, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -269,15 +248,17 @@ def test_run_fa_finds_single_slot_optimum():
 
 def test_run_fa_degenerate_swarm_stays_put():
     # two contents, two slots: repair fills every firefly to all-ones,
-    # so the swarm is uniform from the start and nothing can move
+    # so the swarm is uniform from the start and nothing can move; the
+    # run still takes every iteration of its budget
     scn, rates = one_fap_instance([0.7, 0.3], capacity=2.0e6)
     part = Partition.singletons(1)
     cfg = FaConfig(population=4, max_iters=5, seed=1)
     res = run_fa(scn, rates, part, cfg)
     assert res.best_matrix.tolist() == [[1, 1]]
     assert all(x.tolist() == [[1, 1]] for x in res.population)
+    assert res.iterations == 5
     objs = [h[0] for h in res.history]
-    assert objs == [objs[0]] * len(objs)
+    assert objs == [objs[0]] * (res.iterations + 1)
 
 
 def test_run_fa_history_is_non_increasing(small_instance):
@@ -315,16 +296,14 @@ def test_run_fa_deterministic_per_seed(small_instance):
     assert a.history != c.history
 
 
-@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
-@pytest.mark.parametrize("scope", ["element", "matrix"])
-def test_run_fa_draws_follow_the_counter_stream(monkeypatch, small_instance,
-                                                lam, scope):
+# the "element-" ids name the one draw scope: each element draws its own noise
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0], ids="element-{}".format)
+def test_run_fa_draws_follow_the_counter_stream(monkeypatch, small_instance, lam):
     """Each pairwise step of iteration q, firefly j and peer i uses key
     derive_key(seed, 0xF2, q, j, i) and draws uniform_at(key, e)."""
     scn, rates = small_instance
     part = Partition.from_labels([0, 0, 1])
-    cfg = FaConfig(population=10, max_iters=6, lambda_rand=lam,
-                   epsilon_scope=scope, seed=17)
+    cfg = FaConfig(population=10, max_iters=6, lambda_rand=lam, seed=17)
     real = get_backend()
     fold = firefly.fold_keys
     iteration = [-1]
@@ -334,7 +313,7 @@ def test_run_fa_draws_follow_the_counter_stream(monkeypatch, small_instance,
         iteration[0] += 1  # called once per iteration
         return fold(*args)
 
-    def checked_move(rows, j, peers, pull, gamma, lam_, keys, per_element):
+    def checked_move(rows, j, peers, pull, gamma, lam_, keys):
         q = iteration[0]
         expected = rows[j].copy()
         for t, i in enumerate(peers):
@@ -342,9 +321,9 @@ def test_run_fa_draws_follow_the_counter_stream(monkeypatch, small_instance,
             assert int(keys[t]) == key
             r = int(np.count_nonzero(expected != rows[i]))
             beta = attractiveness(float(pull[t]), float(r), gamma)
-            expected = scalar_pull(expected, rows[i], beta, lam_, key, per_element)
+            expected = scalar_pull(expected, rows[i], beta, lam_, key)
             steps.append((q, j, int(i)))
-        real.move(rows, j, peers, pull, gamma, lam_, keys, per_element)
+        real.move(rows, j, peers, pull, gamma, lam_, keys)
         assert np.array_equal(rows[j], expected)
 
     monkeypatch.setattr(firefly, "fold_keys", counting_fold)
@@ -360,17 +339,6 @@ def test_run_fa_draws_follow_the_counter_stream(monkeypatch, small_instance,
     assert len(steps) == len(set(steps)) > 10
 
 
-def test_run_fa_stall_limit_stops_early():
-    scn, rates = one_fap_instance([0.7, 0.3], capacity=2.0e6)
-    part = Partition.singletons(1)
-    res = run_fa(
-        scn, rates, part,
-        FaConfig(population=4, max_iters=50, stall_limit=3, seed=0),
-    )
-    assert res.iterations == 3
-    assert len(res.history) == res.iterations + 1
-
-
 def test_fa_config_validation():
     with pytest.raises(ValueError):
         FaConfig(population=1)
@@ -384,7 +352,3 @@ def test_fa_config_validation():
         FaConfig(gamma=-0.1)
     with pytest.raises(ValueError):
         FaConfig(gamma=float("nan"))
-    with pytest.raises(ValueError):
-        FaConfig(repair_fill="pad")
-    with pytest.raises(ValueError):
-        FaConfig(epsilon_scope="row")

@@ -156,14 +156,6 @@ def test_potential_history_strictly_increases():
     assert np.all(diffs > 0)
 
 
-def test_top_candidates_still_converges():
-    rng = np.random.default_rng(5)
-    g = random_graph(rng, 10)
-    res = run_hcg(g, HcgConfig(initial_clusters=3, top_candidates=1, seed=2))
-    assert res.converged
-    assert is_individually_stable(g, res.partition)
-
-
 # ---------------------------------------------------------------------------
 # randomized invariants
 

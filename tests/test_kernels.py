@@ -124,9 +124,9 @@ def _move_case(rng, trial, n=40, population=7):
     return swarm, peers, pull, keys
 
 
-@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.7, 3.0])
-@pytest.mark.parametrize("per_element", [True, False])
-def test_move_matches_scalar_rule(lam, per_element):
+# the "True-" ids mark per-element draws, the move's one draw scope
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.7, 3.0], ids="True-{}".format)
+def test_move_matches_scalar_rule(lam):
     rng = np.random.default_rng(5)
     be = get_backend()
     for trial in range(20):
@@ -136,9 +136,8 @@ def test_move_matches_scalar_rule(lam, per_element):
         for t, i in enumerate(peers):
             r = int(np.count_nonzero(expected != swarm[i]))
             beta = float(pull[t]) * math.exp(-gamma * r)
-            expected = scalar_pull(expected, swarm[i], beta, lam, int(keys[t]),
-                                   per_element)
+            expected = scalar_pull(expected, swarm[i], beta, lam, int(keys[t]))
         others = np.delete(swarm, 0, axis=0)
-        be.move(swarm, 0, peers, pull, gamma, lam, keys, per_element)
+        be.move(swarm, 0, peers, pull, gamma, lam, keys)
         assert np.array_equal(swarm[0], expected)
         assert np.array_equal(np.delete(swarm, 0, axis=0), others)

@@ -15,7 +15,7 @@ from fogcache import (
 from conftest import make_params, make_scenario
 
 
-def _one_link(power, dist, bw=1.0e7, noise=1.0e-13, mode="none", const=0.0,
+def _one_link(power, dist, bw=1.0e7, noise=1.0e-13, mode="constant", const=0.0,
               extra=None):
     """Scenario with one user at ``dist`` from F-AP 0."""
     fap_pos = [[0.0, 0.0]]
@@ -44,7 +44,7 @@ def _one_link(power, dist, bw=1.0e7, noise=1.0e-13, mode="none", const=0.0,
 
 
 def test_interference_none_and_constant():
-    scn = _one_link(10.0, 100.0, mode="none")
+    scn = _one_link(10.0, 100.0)
     assert interference_at(scn, scn.user_pos[0], 0) == 0.0
     scn = _one_link(10.0, 100.0, mode="constant", const=1e-13)
     assert interference_at(scn, scn.user_pos[0], 0) == 1e-13
@@ -129,14 +129,21 @@ def test_coop_rate_self_link_rejected():
 # table construction
 
 
-@pytest.mark.parametrize("mode", ["none", "constant", "geometric"])
-def test_rate_table_matches_scalar_functions(mode):
+@pytest.mark.parametrize(
+    "mode, const",
+    [
+        pytest.param("constant", 0.0, id="constant-zero"),
+        pytest.param("constant", 1e-13, id="constant"),
+        pytest.param("geometric", 1e-13, id="geometric"),
+    ],
+)
+def test_rate_table_matches_scalar_functions(mode, const):
     params = SystemParams(
         num_faps=4,
         num_users=10,
         num_contents=5,
         interference_mode=mode,
-        interference_const=1e-13,
+        interference_const=const,
     )
     scn = generate_scenario(params, seed=3)
     table = build_rate_table(scn)

@@ -1,5 +1,6 @@
 """Scenario generation: demand model, geometry, and local popularity."""
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -20,13 +21,12 @@ from fogcache import (
     generate_scenario,
     load_config,
     local_demand_mass,
-    local_popularity,
     run_fa,
     run_hcg,
     zipf_distribution,
 )
 
-from conftest import make_params, make_scenario
+from conftest import local_popularity, make_params, make_scenario, users_of
 
 SMALL_SPEC = load_config(
     str(Path(__file__).resolve().parent.parent / "configs" / "small.yaml")
@@ -84,8 +84,26 @@ def test_params_validation():
         make_params(content_size=0.0)
     with pytest.raises(ValueError):
         make_params(interference_mode="psychic")
+    # no interference is the default constant mode at 0 W
+    with pytest.raises(ValueError):
+        make_params(interference_mode="none")
     with pytest.raises(ValueError):
         make_params(fap_power=[1.0, 2.0, 3.0])  # wrong length for M=2
+
+
+FLOAT_FIELDS = [
+    f.name for f in dataclasses.fields(SystemParams) if "float" in str(f.type)
+]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("name", FLOAT_FIELDS)
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        make_params(**{name: value})
+    if name == "fap_power":  # one bad entry of a per-F-AP list
+        with pytest.raises(ValueError, match=name):
+            make_params(fap_power=[10.0, value])
 
 
 def test_fap_powers_scalar_and_vector():
@@ -192,10 +210,10 @@ def test_shuffle_individualizes_rankings():
 
 def test_users_of_partitions_everyone(full_shape):
     _, scn = full_shape
-    seen = np.concatenate([scn.users_of(m) for m in range(15)])
+    seen = np.concatenate([users_of(scn, m) for m in range(15)])
     assert sorted(seen.tolist()) == list(range(150))
     with pytest.raises(ValueError):
-        scn.users_of(15)
+        users_of(scn, 15)
 
 
 def test_scenario_validate_rejects_bad_rows():
@@ -347,7 +365,7 @@ def colocated():
 def test_colocated_tie_goes_to_lower_index(colocated):
     scn = colocated
     assert scn.local_fap.tolist() == [0, 0, 0, 2]
-    assert scn.users_of(1).size == 0
+    assert users_of(scn, 1).size == 0
     # the shadowed F-AP aggregates nothing and has no popularity
     assert not local_demand_mass(scn)[1].any()
     assert not all_local_popularity(scn)[1].any()

@@ -25,7 +25,13 @@ from fogcache import (
     generate_scenario,
 )
 
-from conftest import make_params, make_rates, make_scenario
+from conftest import (
+    local_popularity,
+    make_params,
+    make_rates,
+    make_scenario,
+    users_of,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -50,8 +56,8 @@ def pair_contact(scenario: Scenario, m: int, n: int) -> float:
     Sums the contact probability over every cross pair, so the value
     can exceed 1 for well-populated groups; either group empty gives 0.
     """
-    users_m = scenario.users_of(m)
-    users_n = scenario.users_of(n)
+    users_m = users_of(scenario, m)
+    users_n = users_of(scenario, n)
     if users_m.size == 0 or users_n.size == 0:
         return 0.0
     density = scenario.params.effective_user_density
@@ -67,30 +73,16 @@ def popularity_similarity(scenario: Scenario, m: int, n: int) -> float:
 
     Uses the Pearson coefficient (covariance over the product of
     standard deviations); a profile with no spread, including that of
-    an F-AP with no users, yields 0.  Setting
-    ``params.similarity_denominator = "var"`` divides by the product of
-    variances instead, which leaves the sign but not the scale intact.
+    an F-AP with no users, yields 0.
     """
-    s_m = _popularity_row(scenario, m)
-    s_n = _popularity_row(scenario, n)
+    s_m = local_popularity(scenario, m)
+    s_n = local_popularity(scenario, n)
     var_m = float(np.var(s_m))
     var_n = float(np.var(s_n))
     if var_m == 0.0 or var_n == 0.0:
         return 0.0
     cov = float(np.mean((s_m - s_m.mean()) * (s_n - s_n.mean())))
-    if scenario.params.similarity_denominator == "var":
-        return cov / (var_m * var_n)
     return cov / math.sqrt(var_m * var_n)
-
-
-def _popularity_row(scenario: Scenario, m: int) -> np.ndarray:
-    if not 0 <= m < scenario.params.num_faps:
-        raise ValueError(f"F-AP index {m} out of range")
-    users = scenario.users_of(m)
-    if users.size == 0:
-        return np.zeros(scenario.params.num_contents)
-    total = scenario.demand[users].sum(axis=0)
-    return total / total.sum()
 
 
 def social_loss(scenario: Scenario, rates: LinkRateTable, m: int, n: int) -> float:
@@ -103,7 +95,7 @@ def social_loss(scenario: Scenario, rates: LinkRateTable, m: int, n: int) -> flo
     if m == n:
         raise ValueError("cooperation loss is defined between distinct F-APs")
     params = scenario.params
-    users_m = scenario.users_of(m)
+    users_m = users_of(scenario, m)
     if users_m.size == 0:
         return 0.0
     demand_sum = float(scenario.demand[users_m].sum())
@@ -271,17 +263,6 @@ def test_similarity_zero_spread_is_zero():
         demand=[[1 / 3, 1 / 3, 1 / 3], [0.5, 0.3, 0.2]],
     )
     assert popularity_similarity(scn, 0, 1) == 0.0
-
-
-def test_similarity_var_denominator_keeps_sign(social_toy):
-    scn, _ = social_toy
-    alt = make_scenario(
-        make_params(num_contents=3, similarity_denominator="var"),
-        fap_pos=scn.fap_pos,
-        user_pos=scn.user_pos,
-        demand=scn.demand,
-    )
-    assert popularity_similarity(alt, 0, 1) < 0.0
 
 
 # ---------------------------------------------------------------------------
