@@ -12,6 +12,15 @@ function of a 64-bit key and a flat element index, using the splitmix64
 finisher.  That keeps draws bound to (iteration, firefly, peer,
 element) regardless of evaluation order, so the move can make the
 draws of a whole firefly move in one batch.
+
+The move rule sets a bit to 1 iff ``c + lam*(u - 1/2) - 1/2 >= 0``,
+where ``c = xj + beta*(xi - xj)`` and ``u = k * 2**-53`` for the 53-bit
+draw k.  Every float operation of the rule rounds monotonically and
+lam >= 0, so for a fixed c the rule holds exactly for the k from some
+threshold on.  Where the sparse move knows c, it compares the raw
+integer draws with that threshold (:func:`_threshold`) and forms no
+float per bit.  The former float pipeline is the reference in
+``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
@@ -35,7 +44,8 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-_INV53 = 1.0 / 9007199254740992.0  # 2**-53
+_NEVER = 1 << 53  # one past the largest 53-bit draw
+_INV53 = 1.0 / _NEVER  # 2**-53
 
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MIX1_U64 = np.uint64(_MIX1)
@@ -74,15 +84,27 @@ def fold_keys(key: int, *parts: np.ndarray) -> np.ndarray:
     """
     h = np.uint64(key)
     for p in parts:
-        h = _mix64_arr((h ^ np.asarray(p).astype(np.uint64)) + _GOLDEN_U64)
+        h = np.asarray((h ^ np.asarray(p).astype(np.uint64)) + _GOLDEN_U64)
+        h = _mix64_arr(h)
     return h
 
 
 def _mix64_arr(z: np.ndarray) -> np.ndarray:
-    # uint64 arrays wrap silently, matching the masked python arithmetic
-    z = (z ^ (z >> np.uint64(30))) * _MIX1_U64
-    z = (z ^ (z >> np.uint64(27))) * _MIX2_U64
-    return z ^ (z >> np.uint64(31))
+    """splitmix64 finisher on every element of uint64 array ``z``, in place.
+
+    uint64 arrays wrap silently, matching the masked python arithmetic
+    of :func:`mix64`.  Returns ``z``.
+    """
+    t = np.empty_like(z)
+    np.right_shift(z, np.uint64(30), out=t)
+    z ^= t
+    z *= _MIX1_U64
+    np.right_shift(z, np.uint64(27), out=t)
+    z ^= t
+    z *= _MIX2_U64
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    return z
 
 
 def uniform_at(key: int, idx: np.ndarray) -> np.ndarray:
@@ -93,7 +115,7 @@ def uniform_at(key: int, idx: np.ndarray) -> np.ndarray:
     ``key`` may be an array of keys; it broadcasts against ``idx``.
     """
     key = np.asarray(key, dtype=np.uint64)
-    ctr = key + (idx.astype(np.uint64) + np.uint64(1)) * _GOLDEN_U64
+    ctr = np.asarray(key + (idx.astype(np.uint64) + np.uint64(1)) * _GOLDEN_U64)
     return (_mix64_arr(ctr) >> np.uint64(11)).astype(np.float64) * _INV53
 
 
@@ -103,6 +125,40 @@ def uniform_at(key: int, idx: np.ndarray) -> np.ndarray:
 
 def _hamming_np(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.count_nonzero(a != b))
+
+
+def _threshold(c: float, lam: float) -> int:
+    """Least 53-bit draw k for which the move rule sets an element to 1.
+
+    The rule is ``c + lam*(u - 1/2) - 1/2 >= 0`` with ``u = k * 2**-53``,
+    evaluated in doubles in exactly this order.  Every operation on the
+    way rounds monotonically and ``lam >= 0``, so the rule holds for all
+    k from some K on; the result is that K, 2**53 meaning "never".  The
+    closed-form K is only a starting guess: the search gallops away from
+    it until the rule changes and bisects the bracket, so rounding can
+    move the guess but never the answer.  A guess that overflows (tiny
+    lam) or means nothing (lam == 0) costs at most about 110 checks.
+    """
+
+    def holds(k: int) -> bool:
+        return c + lam * (k * _INV53 - 0.5) - 0.5 >= 0.0
+
+    guess = (0.5 + (0.5 - c) / lam) * _NEVER if lam > 0.0 else float(_NEVER)
+    k = int(min(max(guess, 0.0), _NEVER - 1.0))
+    lo, hi, step = 0, _NEVER, 1  # the answer lies in [lo, hi]
+    while lo <= k < hi:
+        if holds(k):
+            hi, k = k, k - step
+        else:
+            lo, k = k + 1, k + step
+        step *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _move_np(
@@ -116,13 +172,19 @@ def _move_np(
 ) -> None:
     """Pull flat row ``swarm[j]`` toward each ``swarm[peers[t]]`` in turn, in place.
 
-    Step t has attraction ``beta = pull[t] * exp(-gamma * r)``, r the
-    Hamming distance at that moment, and sets each element e to 1 iff
+    ``swarm`` holds binary uint8 rows.  Step t has attraction
+    ``beta = pull[t] * exp(-gamma * r)``, r the Hamming distance at that
+    moment, and sets each element e to 1 iff
     xj + beta*(xi - xj) + lam*(u - 1/2) - 1/2 >= 0, with u drawn by
     ``uniform_at(keys[t], e)``.  For lam <= 1 an element with xj == xi
     can never flip, so only the differing positions are drawn, step by
-    step; otherwise all steps draw up front in one batch.
+    step, and their raw 53-bit draws are compared with the thresholds
+    of :func:`_threshold` for c = beta (a 0) and c = 1 - beta (a 1).
+    For lam > 1 all steps draw up front in one batch and run the float
+    rule.
     """
+    if swarm.dtype != np.uint8:
+        raise ValueError("move needs a uint8 swarm")
     x = swarm[j]
     if lam > 1.0:
         noise = lam * (uniform_at(keys[:, None], np.arange(x.size)) - 0.5)
@@ -136,41 +198,70 @@ def _move_np(
             a = (arg >= 0.0).astype(np.float64)
         x[:] = a
         return
-    for t, i in enumerate(peers):
-        b = swarm[i]
-        idx = np.flatnonzero(x != b)
+    xb = x.view(np.bool_)  # a binary row; the bool view skips a cast
+    for i, p, key in zip(peers.tolist(), pull.tolist(), keys.tolist()):
+        idx = np.flatnonzero(x != swarm[i])
         if idx.size == 0:
             continue
-        beta = pull[t] * math.exp(-gamma * idx.size)
-        a = x[idx].astype(np.float64)
-        arg = a + beta * (b[idx] - a)
-        arg = arg + lam * (uniform_at(keys[t], idx) - 0.5)
-        arg = arg - 0.5
-        x[idx] = arg >= 0.0
+        beta = p * math.exp(-gamma * idx.size)
+        k0 = _threshold(beta, lam)
+        k1 = _threshold(1.0 - beta, lam)
+        # the 53-bit draws of uniform_at: mix64(key + (e + 1) * golden) >> 11
+        z = idx.view(np.uint64) * _GOLDEN_U64
+        z += np.uint64((key + _GOLDEN) & _MASK64)
+        _mix64_arr(z)
+        z >>= np.uint64(11)
+        # an element becomes z >= k1 where it is 1 and z >= k0 where it
+        # is 0: shift the draws of the 1s by k0 - k1, compare with k0
+        z = z.view(np.int64)
+        z += xb[idx] * np.int64(k0 - k1)
+        xb[idx] = z >= k0
+
+
+# placements of fewer entries repair with the fewest numpy calls, larger
+# ones with the fewest passes over all entries; the two cost the same
+# at about 2-3k entries (15 x 200) on a 2-vCPU machine
+_SPARSE_REPAIR_MIN = 4096
 
 
 def _repair_np(x: np.ndarray, prio: np.ndarray, slots: int) -> None:
-    """Fill every row to exactly its slot budget, in place.
+    """Fill every row of binary ``x`` to exactly its slot budget, in place.
 
     prio[m] lists content ids from most to least locally popular.  Row
     m keeps the first ``slots`` entries of "its cached contents in
     priority order, then its uncached ones in priority order": a row
     over budget evicts its least popular cached contents, and a row
-    under budget takes the most popular uncached ones until full.
+    under budget takes the most popular uncached ones until full.  A
+    placement of ``_SPARSE_REPAIR_MIN`` entries or more writes only the
+    entries that change.
     """
     n_rows, n_cols = x.shape
     # one flat index gathers and scatters faster than a 2-D fancy index;
     # only a C-contiguous x has a flat view that writes through
     if not x.flags.c_contiguous:
         raise ValueError("repair needs a C-contiguous placement")
-    flat = (prio + np.arange(0, n_rows * n_cols, n_cols)[:, None]).ravel()
+    flat = prio + np.arange(0, n_rows * n_cols, n_cols)[:, None]
     xf = x.reshape(-1)
-    cached = (xf[flat] != 0).reshape(n_rows, n_cols)
-    rank = np.cumsum(cached, axis=1)
-    # position of an uncached entry: all cached ones, then the uncached
-    # ones up to and including it
-    hole_pos = rank[:, -1:] + np.arange(1, n_cols + 1) - rank
-    xf[flat] = (np.where(cached, rank, hole_pos) <= slots).ravel()
+    cached = xf[flat] != 0
+    if x.size < _SPARSE_REPAIR_MIN:
+        # position of a cached entry: its rank among the cached ones; of an
+        # uncached one: all cached ones, then the uncached ones up to it
+        rank = np.cumsum(cached, axis=1, dtype=np.int32)
+        hole = rank[:, -1:] + np.arange(1, n_cols + 1, dtype=np.int32) - rank
+        xf[flat] = np.where(cached, rank, hole) <= slots
+        return
+    total = cached.sum(axis=1)
+    # evict every cached entry past the first `slots` of its row; held
+    # lists the cached entries row by row, in priority order
+    held = flat[cached]
+    rank = np.arange(held.size) - np.repeat(np.cumsum(total) - total, total)
+    xf[held[rank >= slots]] = 0
+    # a row short by `need` takes its first `need` uncached entries; its
+    # first `slots` entries hold at most `total` cached ones, so at least
+    # `need` uncached ones, and every fill lies among them
+    head = ~cached[:, :slots]
+    fill = head & (np.cumsum(head, axis=1) <= (slots - total)[:, None])
+    xf[flat[:, :slots][fill]] = 1
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ its draws in whatever batches suit it; see :mod:`fogcache._kernels`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -27,7 +28,7 @@ import numpy as np
 from ._kernels import derive_key, fold_keys, get_backend
 from .cache import EvalResult, Partition, PlacementEvaluator, feasible
 from .radio import LinkRateTable
-from .scenario import Scenario, all_local_popularity, capacity_slots
+from .scenario import Scenario, all_local_popularity, capacity_slots, require_int
 
 __all__ = [
     "FaConfig",
@@ -52,15 +53,13 @@ class FaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.population < 2:
-            raise ValueError("population must be >= 2")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+        require_int("population", self.population, 2)
+        require_int("max_iters", self.max_iters, 1)
         # written so that NaN fails too
-        if not self.gamma >= 0:
-            raise ValueError("gamma must be non-negative")
-        if not self.lambda_rand >= 0:
-            raise ValueError("lambda_rand must be non-negative")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError("gamma must be non-negative and finite")
+        if not 0 <= self.lambda_rand < math.inf:
+            raise ValueError("lambda_rand must be non-negative and finite")
 
 
 @dataclass

@@ -19,6 +19,7 @@ from typing import Iterable, List, Optional
 import numpy as np
 
 from .cache import Partition
+from .scenario import require_int
 from .social import SocialGraph
 
 __all__ = [
@@ -47,10 +48,9 @@ class HcgConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.initial_clusters is not None and self.initial_clusters < 1:
-            raise ValueError("initial_clusters must be >= 1")
-        if self.max_passes < 1:
-            raise ValueError("max_passes must be >= 1")
+        if self.initial_clusters is not None:
+            require_int("initial_clusters", self.initial_clusters, 1)
+        require_int("max_passes", self.max_passes, 1)
 
 
 @dataclass

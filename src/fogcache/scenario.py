@@ -9,6 +9,7 @@ with partially shuffled per-user rank orders.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -34,6 +35,16 @@ _POSITIVE = ("content_size", "bw_access", "bw_coop", "noise", "cloud_power",
 _NON_NEGATIVE = ("capacity", "cache_coeff", "zipf_eta", "social_delta",
                  "interference_const")
 _UNIT_INTERVAL = ("weight", "pref_shuffle")
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise ValueError unless ``value`` is an integer (not a bool) >= ``minimum``."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Integral)
+        or value < minimum
+    ):
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +83,8 @@ class SystemParams:
     min_distance: float = 1.0  # m, pathloss clamp
 
     def __post_init__(self):
-        if self.num_faps < 1 or self.num_users < 1 or self.num_contents < 1:
-            raise ValueError("num_faps, num_users and num_contents must be >= 1")
+        for name in ("num_faps", "num_users", "num_contents"):
+            require_int(name, getattr(self, name), 1)
         # each bound is written so that NaN fails it, and inf is out of range
         for name in _POSITIVE:
             if not 0 < getattr(self, name) < math.inf:

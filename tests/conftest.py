@@ -47,6 +47,17 @@ def subprocess_env(**extra) -> dict:
     return env
 
 
+def pull_rule(c, lam, u):
+    """The move rule in plain floats: c + lam*(u - 1/2) - 1/2 >= 0.
+
+    ``c`` is xj + beta*(xi - xj), already rounded; the operations run
+    in this order, each rounded to a double.
+    """
+    arg = c + lam * (u - 0.5)
+    arg = arg - 0.5
+    return arg >= 0.0
+
+
 def scalar_pull(xj, xi, beta, lam, key):
     """One pairwise firefly step, element by element in plain floats.
 
@@ -60,10 +71,7 @@ def scalar_pull(xj, xi, beta, lam, key):
             continue
         u = float(uniform_at(key, np.array([e]))[0])
         a, b = float(xj[e]), float(xi[e])
-        arg = a + beta * (b - a)
-        arg = arg + lam * (u - 0.5)
-        arg = arg - 0.5
-        out[e] = 1 if arg >= 0.0 else 0
+        out[e] = 1 if pull_rule(a + beta * (b - a), lam, u) else 0
     return out
 
 

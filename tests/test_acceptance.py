@@ -6,12 +6,15 @@ terminal summary so the verdicts are visible in one block.  The heavy
 scenario batches are session fixtures shared between gates.
 """
 
+import hashlib
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from conftest import ACCEPTANCE_LINES, subprocess_env
 from fogcache import (
@@ -417,4 +420,49 @@ def test_repeatable_csv(tmp_path):
         ok,
         f"results ({len(res_a)} bytes) and traces ({len(tr_a)} bytes) are "
         "byte-identical across two separate processes",
+    )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# sha256 of the --repeatable results and trace files.  A change that
+# alters outputs on purpose updates these pins and says so in CHANGES.md.
+GOLDEN = {
+    "small": (
+        "8d51eea93d0b391b0a2fe70c195b3d500183c13bfbbce74abaa36a2a0655ebf1",
+        "9bc23e365692c8bf7aece5ff02f480664a7742604e2162ffbd6a8b92f47f7115",
+    ),
+    "full_scale_reduced": (
+        "0914c2e2e5f00026da5d26af99a3f86318544e35dbe9e168099eac7e12185fec",
+        "df4c3fe1d869eb154975249a1eb24e9e569aff4d98e2e66946c924bf54325318",
+    ),
+}
+
+
+def _golden_config(name, tmp_path):
+    """``configs/small.yaml`` as shipped, or ``configs/full_scale.yaml``
+    cut to seed 0 and 3 FA iterations (``run`` takes its one capacity)."""
+    if name == "small":
+        return CONFIGS / "small.yaml"
+    doc = yaml.safe_load((CONFIGS / "full_scale.yaml").read_text())
+    doc["fa"]["max_iters"] = 3
+    doc["experiment"]["seeds"] = [0]
+    cfg = tmp_path / "full_scale_reduced.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    return cfg
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_match_golden_pins(tmp_path, name):
+    """The CLI still writes the very bytes it wrote when the pins were taken."""
+    out, trace = tmp_path / "results.csv", tmp_path / "trace.csv"
+    proc = _cli(["run", str(_golden_config(name, tmp_path)), "-o", str(out),
+                 "--trace", str(trace), "--repeatable", "--quiet"], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (out, trace))
+    report(
+        f"golden outputs ({name})",
+        digests == GOLDEN[name],
+        f"results ({out.stat().st_size} bytes) and trace "
+        f"({trace.stat().st_size} bytes) hash to the pinned sha256",
     )

@@ -165,6 +165,17 @@ def test_load_config_errors(tmp_path):
         load_config(str(bad))
 
 
+def test_load_config_rejects_fractional_counts(tmp_path, capsys):
+    """A fractional count is a config error, in the loader and the CLI,
+    not a numpy TypeError deep inside scenario generation."""
+    bad = tmp_path / "fractional.yaml"
+    bad.write_text("system:\n  num_users: 9.5\n")
+    with pytest.raises(ValueError, match="num_users must be an integer"):
+        load_config(str(bad))
+    assert main(["run", str(bad), "-o", str(tmp_path / "out.csv")]) == 1
+    assert "error: num_users must be an integer" in capsys.readouterr().err
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         small_spec(schemes=("psychic",))

@@ -352,3 +352,20 @@ def test_fa_config_validation():
         FaConfig(gamma=-0.1)
     with pytest.raises(ValueError):
         FaConfig(gamma=float("nan"))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("population", 2.5), ("population", 3.0), ("population", True),
+     ("max_iters", 1.5), ("max_iters", 4.0), ("max_iters", "4")],
+    ids=repr,
+)
+def test_fa_config_rejects_non_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        FaConfig(**{field: value})
+
+
+@pytest.mark.parametrize("field", ["gamma", "lambda_rand"])
+def test_fa_config_rejects_infinite_constants(field):
+    with pytest.raises(ValueError, match=field):
+        FaConfig(**{field: float("inf")})

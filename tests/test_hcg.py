@@ -180,3 +180,15 @@ def test_stability_checker_flags_beneficial_merge():
     g = graph_of([[0.0, 0.7], [0.7, 0.0]])
     assert not is_individually_stable(g, Partition.singletons(2))
     assert is_individually_stable(g, Partition.whole_set(2))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("max_passes", 2.5), ("max_passes", 10.0), ("max_passes", 0),
+     ("initial_clusters", 1.5), ("initial_clusters", 2.0), ("initial_clusters", 0)],
+    ids=repr,
+)
+def test_hcg_config_rejects_non_integers(field, value):
+    with pytest.raises(ValueError, match=field):
+        HcgConfig(**{field: value})
+    assert HcgConfig(initial_clusters=np.int64(2), max_passes=np.int64(3)).max_passes == 3

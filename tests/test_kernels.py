@@ -2,18 +2,35 @@
 
 The RNG vectors are checked against the published splitmix64 reference
 sequence for seed 0, and the move kernel against its element-by-element
-definition.  The repair kernel and the evaluator's surcharge tables are
-checked against their references in test_firefly.py and test_cache.py.
+definition.  The integer thresholds of the move are checked against the
+float rule, and both kernels against their former float pipelines on
+full-scale swarms.  The repair kernel and the evaluator's surcharge
+tables are also checked against their scalar references in
+test_firefly.py and test_cache.py.
 """
 
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fogcache._kernels import derive_key, fold_keys, get_backend, mix64, uniform_at
+from fogcache import build_rate_table, build_social_graph, firefly, generate_scenario, run_hcg
+from fogcache._kernels import (
+    _SPARSE_REPAIR_MIN,
+    _threshold,
+    derive_key,
+    fold_keys,
+    get_backend,
+    mix64,
+    uniform_at,
+)
+from fogcache.config import load_config
 
-from conftest import scalar_pull
+from conftest import pull_rule, scalar_pull
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOLDEN = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
@@ -141,3 +158,203 @@ def test_move_matches_scalar_rule(lam):
         be.move(swarm, 0, peers, pull, gamma, lam, keys)
         assert np.array_equal(swarm[0], expected)
         assert np.array_equal(np.delete(swarm, 0, axis=0), others)
+
+
+# ---------------------------------------------------------------------------
+# the integer thresholds of the sparse move against the float rule
+
+NEVER = 1 << 53
+BETAS = [
+    0.0,
+    1.0,
+    0.5,
+    math.nextafter(0.5, 0.0),
+    math.nextafter(0.5, 1.0),
+    math.nextafter(1.0, 0.0),
+    5e-324,
+]
+LAMS = [0.0, 1e-300, 0.5, 1.0, 1.7, 3.0]
+
+
+class CountingFloat(float):
+    """A float that counts the additions it makes as a left operand.
+
+    As ``c`` of :func:`_threshold`, one addition is one check of the rule.
+    """
+
+    adds = 0
+
+    def __add__(self, other):
+        CountingFloat.adds += 1
+        return float(self) + other
+
+
+@pytest.mark.parametrize("lam", LAMS)
+@pytest.mark.parametrize("beta", BETAS, ids=repr)
+def test_threshold_is_exact(beta, lam):
+    """The rule holds at K and every draw above, and fails at K - 1 and
+    every draw below; the search makes a bounded number of checks and
+    never converts an infinite guess to an integer."""
+    for c in (0.0, beta, 1.0 - beta, 1.0):
+        CountingFloat.adds = 0
+        k = _threshold(CountingFloat(c), lam)
+        assert CountingFloat.adds <= 110, (c, lam, CountingFloat.adds)
+        assert 0 <= k <= NEVER
+        if k < NEVER:
+            for above in (k, k + 1, NEVER - 1):
+                assert pull_rule(c, lam, min(above, NEVER - 1) * 2.0**-53), (c, lam, k)
+        if k > 0:
+            for below in (k - 1, 0):
+                assert not pull_rule(c, lam, below * 2.0**-53), (c, lam, k)
+
+
+def test_move_rejects_a_non_byte_swarm():
+    """The sparse move reads rows through a bool view, which only a
+    one-byte swarm has: it raises instead of reading the wrong bytes."""
+    swarm = np.array([[0, 1, 0], [1, 1, 0]], dtype=np.int64)
+    keys = np.array([7], dtype=np.uint64)
+    with pytest.raises(ValueError, match="uint8"):
+        get_backend().move(swarm, 0, np.array([1]), np.array([0.5]), 0.0, 1.0, keys)
+
+
+def unmix64(z):
+    """Inverse of :func:`mix64`: undo each xorshift and multiply in turn."""
+
+    def unxorshift(y, shift):
+        x = y
+        for _ in range(64 // shift + 1):
+            x = y ^ (x >> shift)
+        return x
+
+    z = unxorshift(z, 31)
+    z = (z * pow(0x94D049BB133111EB, -1, 1 << 64)) & MASK
+    z = unxorshift(z, 27)
+    z = (z * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & MASK
+    return unxorshift(z, 30)
+
+
+def key_drawing(k, e=0):
+    """A key whose draw at element e is exactly k * 2**-53."""
+    return (unmix64(k << 11) - (e + 1) * GOLDEN) & MASK
+
+
+def test_unmix64_inverts_mix64():
+    for z in (0, 1, MASK, GOLDEN, 0x0123456789ABCDEF):
+        assert unmix64(mix64(z)) == z
+    assert uniform_at(key_drawing(12345, 3), np.array([3]))[0] == 12345 * 2.0**-53
+
+
+@pytest.mark.parametrize("lam", LAMS)
+@pytest.mark.parametrize("beta", BETAS, ids=repr)
+def test_move_decides_draws_at_the_threshold(beta, lam):
+    """Keys built to draw exactly K and K - 1 at the flipping element:
+    the kernel agrees with the float rule on both sides of the edge."""
+    be = get_backend()
+    for xj in (0, 1):
+        k_edge = _threshold(beta if xj == 0 else 1.0 - beta, lam)
+        for k in {k_edge - 1, k_edge}:
+            if not 0 <= k < NEVER:
+                continue
+            key = key_drawing(k)
+            start = np.array([[xj, 1], [1 - xj, 1]], dtype=np.uint8)
+            swarm = start.copy()
+            keys = np.array([key], dtype=np.uint64)
+            be.move(swarm, 0, np.array([1]), np.array([beta]), 0.0, lam, keys)
+            expected = scalar_pull(start[0], start[1], beta, lam, key)
+            assert swarm[0].tolist() == expected.tolist(), (xj, k, k_edge)
+            assert swarm[0, 0] == (k >= k_edge)
+
+
+# ---------------------------------------------------------------------------
+# both kernels against their former float pipelines, on full-size swarms
+
+
+def reference_move(swarm, j, peers, pull, gamma, lam, keys):
+    """The sparse move (lam <= 1) as a float pipeline over the drawn elements."""
+    assert lam <= 1.0
+    x = swarm[j]
+    for t, i in enumerate(peers):
+        b = swarm[i]
+        idx = np.flatnonzero(x != b)
+        if idx.size == 0:
+            continue
+        beta = pull[t] * math.exp(-gamma * idx.size)
+        a = x[idx].astype(np.float64)
+        arg = a + beta * (b[idx] - a)
+        arg = arg + lam * (uniform_at(keys[t], idx) - 0.5)
+        arg = arg - 0.5
+        x[idx] = arg >= 0.0
+
+
+def reference_repair(x, prio, slots):
+    """The repair kernel as a rank select over every entry of x."""
+    n_rows, n_cols = x.shape
+    flat = (prio + np.arange(0, n_rows * n_cols, n_cols)[:, None]).ravel()
+    xf = x.reshape(-1)
+    cached = (xf[flat] != 0).reshape(n_rows, n_cols)
+    rank = np.cumsum(cached, axis=1)
+    hole_pos = rank[:, -1:] + np.arange(1, n_cols + 1) - rank
+    xf[flat] = (np.where(cached, rank, hole_pos) <= slots).ravel()
+
+
+@pytest.fixture(scope="module")
+def full_scale_case():
+    spec = load_config(str(CONFIGS / "full_scale.yaml"))
+    scn = generate_scenario(spec.system, seed=0)
+    rates = build_rate_table(scn)
+    part = run_hcg(build_social_graph(scn, rates), spec.hcg).partition
+    return spec, scn, rates, part
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+def test_kernels_match_float_references_at_full_scale(monkeypatch, full_scale_case, lam):
+    """Every move and repair of a full-scale run equals its reference."""
+    spec, scn, rates, part = full_scale_case
+    real = get_backend()
+    flipped = []
+
+    def checked_move(swarm, j, *args):
+        expected = swarm.copy()
+        reference_move(expected, j, *args)
+        before = swarm[j].copy()
+        real.move(swarm, j, *args)
+        assert np.array_equal(swarm, expected)
+        flipped.append(int(np.count_nonzero(swarm[j] != before)))
+
+    def checked_repair(x, prio, slots):
+        expected = x.copy()
+        reference_repair(expected, prio, slots)
+        real.repair(x, prio, slots)
+        assert np.array_equal(x, expected)
+
+    monkeypatch.setattr(
+        firefly, "get_backend",
+        lambda: dataclasses.replace(real, move=checked_move, repair=checked_repair),
+    )
+    cfg = dataclasses.replace(spec.fa, population=20, lambda_rand=lam, max_iters=4, seed=5)
+    firefly.run_fa(scn, rates, part, cfg)
+    assert len(flipped) >= 4 * 10
+    if lam == 1.0:  # at 0.5 no draw can move a bit at this scale
+        assert sum(flipped) > 1000
+
+
+@pytest.mark.parametrize(
+    "shape, slots",
+    [((3, 6), 0), ((3, 6), 2), ((3, 6), 6), ((15, 200), 20), ((15, 300), 30),
+     ((15, 1000), 0), ((15, 1000), 1), ((15, 1000), 100), ((15, 1000), 999),
+     ((15, 1000), 1000)],
+    ids=str,
+)
+def test_repair_matches_reference_on_both_formulations(shape, slots):
+    """Empty, full, sparse and dense placements on either side of the
+    size that selects the repair's formulation."""
+    assert 15 * 200 < _SPARSE_REPAIR_MIN <= 15 * 300
+    rng = np.random.default_rng(slots)
+    prio = np.argsort(-rng.random(shape), axis=1, kind="stable")
+    for density in (0.0, 0.02, 0.1, 0.5, 0.98, 1.0):
+        x = (rng.random(shape) < density).astype(np.uint8)
+        expected = x.copy()
+        reference_repair(expected, prio, slots)
+        get_backend().repair(x, prio, slots)
+        assert np.array_equal(x, expected), density
+        assert (x.sum(axis=1) == slots).all()

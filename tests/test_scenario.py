@@ -91,6 +91,15 @@ def test_params_validation():
         make_params(fap_power=[1.0, 2.0, 3.0])  # wrong length for M=2
 
 
+@pytest.mark.parametrize("value", [2.0, 2.5, True, "2"], ids=repr)
+@pytest.mark.parametrize("name", ["num_faps", "num_users", "num_contents"])
+def test_params_reject_non_integer_counts(name, value):
+    with pytest.raises(ValueError, match=name):
+        make_params(**{name: value})
+    # numpy integers are integers
+    assert getattr(make_params(**{name: np.int64(2)}), name) == 2
+
+
 FLOAT_FIELDS = [
     f.name for f in dataclasses.fields(SystemParams) if "float" in str(f.type)
 ]
