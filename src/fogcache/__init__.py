@@ -46,7 +46,6 @@ from .hcg import (
     HcgResult,
     initial_partition,
     is_individually_stable,
-    is_open,
     run_hcg,
 )
 from .radio import (
@@ -110,7 +109,6 @@ __all__ = [
     "HcgResult",
     "initial_partition",
     "is_individually_stable",
-    "is_open",
     "run_hcg",
     "LinkRateTable",
     "access_rate",

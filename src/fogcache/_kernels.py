@@ -84,7 +84,10 @@ def fold_keys(key: int, *parts: np.ndarray) -> np.ndarray:
     """
     h = np.uint64(key)
     for p in parts:
-        h = np.asarray((h ^ np.asarray(p).astype(np.uint64)) + _GOLDEN_U64)
+        # in-place uint64 math on an array wraps silently even when it is
+        # 0-d; numpy scalar math would warn
+        h = np.asarray(h ^ np.asarray(p).astype(np.uint64))
+        h += _GOLDEN_U64
         h = _mix64_arr(h)
     return h
 
@@ -114,8 +117,10 @@ def uniform_at(key: int, idx: np.ndarray) -> np.ndarray:
     of elements can be evaluated in any order with identical results.
     ``key`` may be an array of keys; it broadcasts against ``idx``.
     """
-    key = np.asarray(key, dtype=np.uint64)
-    ctr = np.asarray(key + (idx.astype(np.uint64) + np.uint64(1)) * _GOLDEN_U64)
+    ctr = np.asarray(idx).astype(np.uint64)  # an array, also for 0-d idx
+    ctr += np.uint64(1)
+    ctr *= _GOLDEN_U64
+    ctr = np.asarray(np.asarray(key, dtype=np.uint64) + ctr)
     return (_mix64_arr(ctr) >> np.uint64(11)).astype(np.float64) * _INV53
 
 
@@ -224,23 +229,23 @@ def _move_np(
 _SPARSE_REPAIR_MIN = 4096
 
 
-def _repair_np(x: np.ndarray, prio: np.ndarray, slots: int) -> None:
+def _repair_np(x: np.ndarray, flat: np.ndarray, slots: int) -> None:
     """Fill every row of binary ``x`` to exactly its slot budget, in place.
 
-    prio[m] lists content ids from most to least locally popular.  Row
-    m keeps the first ``slots`` entries of "its cached contents in
-    priority order, then its uncached ones in priority order": a row
-    over budget evicts its least popular cached contents, and a row
-    under budget takes the most popular uncached ones until full.  A
-    placement of ``_SPARSE_REPAIR_MIN`` entries or more writes only the
-    entries that change.
+    flat[m] lists the entries of row m, as indices into ``x.reshape(-1)``,
+    from the most to the least locally popular content.  Row m keeps
+    the first ``slots`` entries of "its cached contents in priority
+    order, then its uncached ones in priority order": a row over budget
+    evicts its least popular cached contents, and a row under budget
+    takes the most popular uncached ones until full.  A placement of
+    ``_SPARSE_REPAIR_MIN`` entries or more writes only the entries that
+    change.
     """
-    n_rows, n_cols = x.shape
+    n_cols = x.shape[1]
     # one flat index gathers and scatters faster than a 2-D fancy index;
     # only a C-contiguous x has a flat view that writes through
     if not x.flags.c_contiguous:
         raise ValueError("repair needs a C-contiguous placement")
-    flat = prio + np.arange(0, n_rows * n_cols, n_cols)[:, None]
     xf = x.reshape(-1)
     cached = xf[flat] != 0
     if x.size < _SPARSE_REPAIR_MIN:

@@ -7,8 +7,6 @@ Config files mirror the dataclass fields one-to-one, in SI units:
     system:
       num_faps: 15
       capacity: 4.0e11        # bits
-    hcg:
-      max_passes: 100
     fa:
       population: 30
       max_iters: 200
@@ -19,9 +17,10 @@ Config files mirror the dataclass fields one-to-one, in SI units:
       schemes: [random, improved_fa]
       clustering: hcg
 
-Unknown keys are rejected so typos fail loudly.  The helpers at the
-bottom convert the field-measurement units (dBm, GB, MB, MHz) used by
-the command-line flags into SI.
+Unknown keys are rejected so typos fail loudly.  Seeds come only from
+``experiment.seeds``: every run derives its HCG and FA seeds from them.
+The helpers at the bottom convert the field-measurement units (dBm,
+GB, MB, MHz) used by the command-line flags into SI.
 """
 
 from __future__ import annotations
@@ -101,15 +100,20 @@ _EXPERIMENT_KEYS = {
 def parse_config(doc: Optional[Mapping[str, Any]]) -> ExperimentSpec:
     """Build an :class:`ExperimentSpec` from a parsed YAML document."""
     doc = dict(doc or {})
-    known = {"system", "hcg", "fa", "experiment"}
+    known = {"system", "fa", "experiment"}
     unknown = set(doc) - known
     if unknown:
         raise ValueError(
             f"unknown top-level section(s) {sorted(unknown)}; expected {sorted(known)}"
         )
     system = _build(SystemParams, doc.get("system") or {}, "system")
-    hcg = _build(HcgConfig, doc.get("hcg") or {}, "hcg")
-    fa = _build(FaConfig, doc.get("fa") or {}, "fa")
+    fa_section = doc.get("fa") or {}
+    if "seed" in fa_section:
+        raise ValueError(
+            "unknown key(s) ['seed'] in section 'fa'; every run derives its "
+            "FA seed from experiment.seeds"
+        )
+    fa = _build(FaConfig, fa_section, "fa")
 
     exp = dict(doc.get("experiment") or {})
     unknown = set(exp) - _EXPERIMENT_KEYS
@@ -124,7 +128,7 @@ def parse_config(doc: Optional[Mapping[str, Any]]) -> ExperimentSpec:
         exp["seeds"] = tuple(int(v) for v in exp["seeds"])
     if "schemes" in exp and exp["schemes"] is not None:
         exp["schemes"] = tuple(exp["schemes"])
-    return ExperimentSpec(system=system, hcg=hcg, fa=fa, **exp)
+    return ExperimentSpec(system=system, hcg=HcgConfig(), fa=fa, **exp)
 
 
 def load_config(path: str) -> ExperimentSpec:

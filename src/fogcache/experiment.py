@@ -22,11 +22,14 @@ from .cache import (
     EvalResult,
     Partition,
     PlacementEvaluator,
+    caching_energy,
     feasible,
+    request_delay,
+    request_energy,
 )
 from .firefly import FaConfig, run_fa
-from .hcg import HcgConfig, run_hcg
-from .radio import build_rate_table
+from .hcg import HcgConfig, is_individually_stable, run_hcg
+from .radio import access_rate, build_rate_table, coop_rate
 from .scenario import SystemParams, generate_scenario
 from .social import build_social_graph
 
@@ -271,8 +274,6 @@ def run_verification(spec: ExperimentSpec) -> List[Tuple[str, bool, str]]:
     checks run on a scaled-down copy of the system so the battery stays
     fast at full scale.
     """
-    from .cache import request_delay, request_energy  # local import, test-style use
-
     checks: List[Tuple[str, bool, str]] = []
     params = spec.system
     seed = spec.seeds[0]
@@ -302,8 +303,6 @@ def run_verification(spec: ExperimentSpec) -> List[Tuple[str, bool, str]]:
     checks.append(("scenario", ok, "deterministic, in-box, rows sum to 1"))
 
     # rate table sanity and scalar agreement
-    from .radio import access_rate, coop_rate
-
     rates = build_rate_table(sc)
     ok = bool(np.all(rates.access > 0))
     off = ~np.eye(params.num_faps, dtype=bool)
@@ -332,8 +331,6 @@ def run_verification(spec: ExperimentSpec) -> List[Tuple[str, bool, str]]:
     checks.append(("social-graph", ok, "symmetric, zero diagonal, finite"))
 
     # clustering invariants
-    from .hcg import is_individually_stable
-
     hcg_res = run_hcg(graph, replace(spec.hcg, seed=derive_key(seed, _TAG_HCG)))
     gaps = np.diff(hcg_res.potential_history)
     ok = hcg_res.converged and is_individually_stable(graph, hcg_res.partition)
@@ -376,8 +373,6 @@ def run_verification(spec: ExperimentSpec) -> List[Tuple[str, bool, str]]:
             for u in range(small.num_users)
             for f in range(small.num_contents)
         )
-        from .cache import caching_energy
-
         e += caching_energy(x, small)
         ok = ok and np.isclose(res.delay, t, rtol=1e-9, atol=0)
         ok = ok and np.isclose(res.energy, e, rtol=1e-9, atol=0)

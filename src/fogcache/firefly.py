@@ -132,8 +132,10 @@ def run_fa(
     evaluator = PlacementEvaluator(scenario, rates, partition)
     slots = capacity_slots(params)
     pop_rows = all_local_popularity(scenario)
-    # repair priority: most locally popular first, index breaks ties
+    # repair priority: most locally popular first, index breaks ties; the
+    # repair takes it as flat indices into a placement
     prio = np.argsort(-pop_rows, axis=1, kind="stable").astype(np.int64)
+    prio += np.arange(0, prio.size, params.num_contents)[:, None]
 
     swarm = np.stack(
         _initial_swarm(scenario, pop_rows, slots, config.population, config.seed)

@@ -14,43 +14,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
 from .cache import Partition
-from .scenario import require_int
 from .social import SocialGraph
 
 __all__ = [
     "HcgConfig",
     "HcgResult",
     "initial_partition",
-    "is_open",
     "run_hcg",
     "is_individually_stable",
 ]
 
 _MASK64 = (1 << 64) - 1
+# full sweeps over the F-APs before the loop stops unconverged
+MAX_PASSES = 100
 
 
 @dataclass(frozen=True)
 class HcgConfig:
-    """Knobs for the coalition formation loop.
+    """Seed of the random start: ceil(M / 3) labels drawn per F-AP."""
 
-    ``initial_clusters`` defaults to ceil(M / 3); ``max_passes`` caps
-    full sweeps over the F-APs.  Each turn an F-AP tries every cluster
-    it strictly prefers, best first, and joins the first open one.
-    """
-
-    initial_clusters: Optional[int] = None
-    max_passes: int = 100
     seed: int = 0
-
-    def __post_init__(self):
-        if self.initial_clusters is not None:
-            require_int("initial_clusters", self.initial_clusters, 1)
-        require_int("max_passes", self.max_passes, 1)
 
 
 @dataclass
@@ -75,20 +63,6 @@ def initial_partition(num_faps: int, num_clusters: int, seed: int) -> Partition:
     return Partition.from_labels(labels)
 
 
-def is_open(graph: SocialGraph, members: Iterable[int], m: int) -> bool:
-    """Whether the cluster with ``members`` accepts F-AP m.
-
-    Every current member must hold non-negative mutual utility toward
-    the newcomer; an empty cluster accepts anyone.
-    """
-    idx = [int(n) for n in members]
-    if m in idx:
-        raise ValueError("candidate already belongs to the cluster")
-    if not idx:
-        return True
-    return bool(np.all(graph.mutual[idx, m] >= 0))
-
-
 def run_hcg(
     graph: SocialGraph,
     config: Optional[HcgConfig] = None,
@@ -96,82 +70,59 @@ def run_hcg(
 ) -> HcgResult:
     """Best-response coalition formation until no F-AP wants to move.
 
-    F-APs are visited in index order.  Each computes its utility in
-    every existing cluster and in a fresh singleton, keeps the strict
-    improvements sorted best first (ties broken toward the lower
-    cluster index, the singleton option last), and joins the first one
-    that accepts it.  A full pass without a move means convergence.
+    The state is one label per F-AP.  F-APs are visited in index order;
+    each joins the open cluster it strictly prefers most (ties toward
+    the lower label), or secedes into a fresh singleton when it holds
+    negative utility where it is and no open cluster offers it at least
+    zero.  An emptied cluster's label is closed up.  A full pass
+    without a move means convergence; ``MAX_PASSES`` passes stop the
+    loop either way.
     """
     if config is None:
         config = HcgConfig()
     m_count = graph.num_faps
-    k0 = config.initial_clusters
-    if k0 is None:
-        k0 = math.ceil(m_count / 3)
-    k0 = min(k0, m_count)
     if initial is None:
-        initial = initial_partition(m_count, k0, config.seed)
+        initial = initial_partition(m_count, math.ceil(m_count / 3), config.seed)
 
-    clusters: List[set] = [set(c.tolist()) for c in initial.clusters]
-    member_of = initial.member_of.copy()
     mutual = graph.mutual
-
-    potential = 0.0
-    for members in clusters:
-        idx = list(members)
-        potential += float(mutual[np.ix_(idx, idx)].sum())
+    labels = initial.member_of.copy()  # compact: clusters are 0..K-1
+    potential = sum(float(mutual[np.ix_(c, c)].sum()) for c in initial.clusters)
     history = [potential]
 
     moves = 0
-    converged = False
     passes = 0
-    for _ in range(config.max_passes):
+    converged = False
+    while not converged and passes < MAX_PASSES:
         passes += 1
-        moved_this_pass = False
-        for m in range(m_count):
-            cur = int(member_of[m])
-            prefs = np.bincount(
-                member_of, weights=mutual[m], minlength=len(clusters)
-            )
+        converged = True
+        for m, row in enumerate(mutual):
+            cur = labels[m]
+            prefs = np.bincount(labels, weights=row)
             stay = prefs[cur]
-            options = [
-                (float(prefs[k]), k)
-                for k in range(len(clusters))
-                if k != cur and prefs[k] > stay
-            ]
-            if 0.0 > stay:
-                options.append((0.0, len(clusters)))  # secede
-            if not options:
+            # most turns end here: nothing beats staying, and staying is
+            # no loss, so the openness of the others does not matter
+            if stay >= 0.0 and max(prefs.tolist()) <= stay:
                 continue
-            options.sort(key=lambda vk: (-vk[0], vk[1]))
-            for value, target in options:
-                if target < len(clusters):
-                    members = clusters[target]
-                    if not np.all(mutual[list(members), m] >= 0):
-                        continue
-                clusters[cur].discard(m)
-                if target == len(clusters):
-                    clusters.append({m})
-                else:
-                    clusters[target].add(m)
-                member_of[m] = target
-                if not clusters[cur]:
-                    del clusters[cur]
-                    member_of[member_of > cur] -= 1
-                # symmetry: the mover's gain is granted back by the
-                # clusters involved, so welfare rises by twice the gain
-                potential += 2.0 * (value - stay)
-                history.append(potential)
-                moves += 1
-                moved_this_pass = True
-                break
-        if not moved_this_pass:
-            converged = True
-            break
+            # a cluster with a member of negative utility toward m is closed
+            prefs[labels[mutual[:, m] < 0]] = -np.inf
+            target = int(prefs.argmax())
+            value = prefs[target]
+            if stay < 0.0 and value < 0.0:
+                target, value = len(prefs), 0.0  # secede
+            elif value <= stay:
+                continue
+            labels[m] = target
+            if np.count_nonzero(labels == cur) == 0:
+                labels[labels > cur] -= 1
+            # symmetry: the mover's gain is granted back by the
+            # clusters involved, so welfare rises by twice the gain
+            potential += 2.0 * (value - stay)
+            history.append(potential)
+            moves += 1
+            converged = False
 
-    partition = Partition([sorted(c) for c in clusters], m_count)
     return HcgResult(
-        partition=partition,
+        partition=Partition.from_labels(labels),
         passes=passes,
         converged=converged,
         moves=moves,

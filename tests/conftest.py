@@ -47,6 +47,13 @@ def subprocess_env(**extra) -> dict:
     return env
 
 
+def flat_order(prio):
+    """The repair kernel's order: row m's content ids ``prio[m]`` as
+    indices into the flattened placement."""
+    prio = np.asarray(prio, dtype=np.int64)
+    return prio + np.arange(0, prio.size, prio.shape[1])[:, None]
+
+
 def pull_rule(c, lam, u):
     """The move rule in plain floats: c + lam*(u - 1/2) - 1/2 >= 0.
 

@@ -95,7 +95,6 @@ def test_parse_config_sections():
     spec = parse_config(
         {
             "system": {"num_faps": 4, "num_users": 8, "num_contents": 10},
-            "hcg": {"max_passes": 50},
             "fa": {"population": 12},
             "experiment": {
                 "sweep_axis": "capacity",
@@ -106,7 +105,7 @@ def test_parse_config_sections():
         }
     )
     assert spec.system.num_faps == 4
-    assert spec.hcg.max_passes == 50
+    assert spec.hcg == HcgConfig()
     assert spec.fa.population == 12
     assert spec.sweep_values == (1.0e9, 2.0e9)
     assert spec.seeds == (0, 1)
@@ -132,16 +131,27 @@ def test_parse_config_rejects_unknown_keys():
     # the kernels have one implementation, so there is nothing to select
     with pytest.raises(ValueError, match="unknown key"):
         parse_config({"fa": {"backend": "numpy"}})
-    # the paper's FA and HCG have one move, one repair and one join rule
+    # the paper's FA has one move and one repair rule
     for section, key, value in (
         ("fa", "epsilon_scope", "matrix"),
         ("fa", "repair_fill", "none"),
         ("fa", "stall_limit", 3),
-        ("hcg", "top_candidates", 1),
         ("system", "similarity_denominator", "var"),
     ):
         with pytest.raises(ValueError, match="unknown key"):
             parse_config({section: {key: value}})
+    # every run derives its seeds from experiment.seeds
+    with pytest.raises(ValueError, match="unknown key.*experiment.seeds"):
+        parse_config({"fa": {"seed": 12345}})
+    # HCG has no options: a fixed start size and pass cap, a derived seed
+    for key, value in (
+        ("top_candidates", 1),
+        ("max_passes", 100),
+        ("initial_clusters", 2),
+        ("seed", 999),
+    ):
+        with pytest.raises(ValueError, match=r"top-level section.*'hcg'"):
+            parse_config({"hcg": {key: value}})
     with pytest.raises(ValueError, match="section"):
         parse_config({"systems": {}})
 

@@ -17,7 +17,7 @@ from fogcache import (
 )
 from fogcache._kernels import derive_key, get_backend
 
-from conftest import make_params, make_rates, make_scenario, scalar_pull
+from conftest import flat_order, make_params, make_rates, make_scenario, scalar_pull
 
 
 # ---------------------------------------------------------------------------
@@ -195,10 +195,10 @@ def test_repair_agrees_with_batch_kernel():
     rows[1] = 1  # a full row
     pop = rng.random((6, 12))
     pop[2, :6] = pop[2, 6:]  # tied popularity
-    prio = np.argsort(-pop, axis=1, kind="stable").astype(np.int64)
+    flat = flat_order(np.argsort(-pop, axis=1, kind="stable"))
     for slots in (0, 3, 10):
         batch = rows.copy()
-        be.repair(batch, prio, slots)
+        be.repair(batch, flat, slots)
         for m in range(6):
             expected = repair(rows[m], pop[m], slots)
             assert np.array_equal(batch[m], expected), (slots, m)
@@ -208,9 +208,9 @@ def test_repair_kernel_rejects_non_contiguous_rows():
     """The kernel writes through a flat view, which a strided placement
     does not have: it raises instead of losing the writes."""
     x = np.zeros((4, 6), dtype=np.uint8, order="F")
-    prio = np.tile(np.arange(6), (4, 1))
+    flat = flat_order(np.tile(np.arange(6), (4, 1)))
     with pytest.raises(ValueError, match="C-contiguous"):
-        get_backend().repair(x, prio, 2)
+        get_backend().repair(x, flat, 2)
 
 
 # ---------------------------------------------------------------------------

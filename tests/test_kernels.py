@@ -11,6 +11,7 @@ test_firefly.py and test_cache.py.
 
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +29,7 @@ from fogcache._kernels import (
 )
 from fogcache.config import load_config
 
-from conftest import pull_rule, scalar_pull
+from conftest import flat_order, pull_rule, scalar_pull
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -110,6 +111,18 @@ def test_fold_keys_continues_derive_key():
         assert keys.shape == (3, 4, 5) and keys.dtype == np.uint64
         for (a, b, c), k in np.ndenumerate(keys):
             assert int(k) == derive_key(seed, 0xF2, a, b, c)
+
+
+def test_zero_d_inputs_wrap_without_warning():
+    """0-d counters and key parts wrap in uint64 as arrays do, with no
+    overflow warning from numpy scalar arithmetic."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = uniform_at(5, np.int64(3))
+        k = fold_keys(derive_key(7, 0xF2, 3), 3)
+        assert u == uniform_at(5, np.array([3]))[0]
+        assert k == fold_keys(derive_key(7, 0xF2, 3), np.array([3]))[0]
+        assert int(k) == derive_key(7, 0xF2, 3, 3)
 
 
 def test_uniform_at_broadcasts_keys():
@@ -286,10 +299,10 @@ def reference_move(swarm, j, peers, pull, gamma, lam, keys):
         x[idx] = arg >= 0.0
 
 
-def reference_repair(x, prio, slots):
+def reference_repair(x, flat, slots):
     """The repair kernel as a rank select over every entry of x."""
     n_rows, n_cols = x.shape
-    flat = (prio + np.arange(0, n_rows * n_cols, n_cols)[:, None]).ravel()
+    flat = flat.ravel()
     xf = x.reshape(-1)
     cached = (xf[flat] != 0).reshape(n_rows, n_cols)
     rank = np.cumsum(cached, axis=1)
@@ -321,10 +334,10 @@ def test_kernels_match_float_references_at_full_scale(monkeypatch, full_scale_ca
         assert np.array_equal(swarm, expected)
         flipped.append(int(np.count_nonzero(swarm[j] != before)))
 
-    def checked_repair(x, prio, slots):
+    def checked_repair(x, flat, slots):
         expected = x.copy()
-        reference_repair(expected, prio, slots)
-        real.repair(x, prio, slots)
+        reference_repair(expected, flat, slots)
+        real.repair(x, flat, slots)
         assert np.array_equal(x, expected)
 
     monkeypatch.setattr(
@@ -350,11 +363,11 @@ def test_repair_matches_reference_on_both_formulations(shape, slots):
     size that selects the repair's formulation."""
     assert 15 * 200 < _SPARSE_REPAIR_MIN <= 15 * 300
     rng = np.random.default_rng(slots)
-    prio = np.argsort(-rng.random(shape), axis=1, kind="stable")
+    flat = flat_order(np.argsort(-rng.random(shape), axis=1, kind="stable"))
     for density in (0.0, 0.02, 0.1, 0.5, 0.98, 1.0):
         x = (rng.random(shape) < density).astype(np.uint8)
         expected = x.copy()
-        reference_repair(expected, prio, slots)
-        get_backend().repair(x, prio, slots)
+        reference_repair(expected, flat, slots)
+        get_backend().repair(x, flat, slots)
         assert np.array_equal(x, expected), density
         assert (x.sum(axis=1) == slots).all()
