@@ -16,14 +16,8 @@ from .cache import (
     PlacementEvaluator,
     caching_energy,
     capacity_slots,
-    cluster_has,
-    delay_components,
-    energy_components,
-    evaluate,
     feasible,
     new_placement,
-    request_delay,
-    request_energy,
 )
 from .config import dbm_to_watts, gb_to_bits, load_config, mb_to_bits, mhz_to_hz
 from .experiment import (
@@ -48,13 +42,7 @@ from .hcg import (
     is_individually_stable,
     run_hcg,
 )
-from .radio import (
-    LinkRateTable,
-    access_rate,
-    build_rate_table,
-    coop_rate,
-    interference_at,
-)
+from .radio import LinkRateTable, build_rate_table
 from .scenario import (
     Scenario,
     SystemParams,
@@ -81,14 +69,8 @@ __all__ = [
     "PlacementEvaluator",
     "caching_energy",
     "capacity_slots",
-    "cluster_has",
-    "delay_components",
-    "energy_components",
-    "evaluate",
     "feasible",
     "new_placement",
-    "request_delay",
-    "request_energy",
     "dbm_to_watts",
     "gb_to_bits",
     "load_config",
@@ -111,10 +93,7 @@ __all__ = [
     "is_individually_stable",
     "run_hcg",
     "LinkRateTable",
-    "access_rate",
     "build_rate_table",
-    "coop_rate",
-    "interference_at",
     "Scenario",
     "SystemParams",
     "all_local_popularity",

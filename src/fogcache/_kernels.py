@@ -38,6 +38,7 @@ __all__ = [
     "derive_key",
     "fold_keys",
     "uniform_at",
+    "rng_for",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -108,6 +109,12 @@ def _mix64_arr(z: np.ndarray) -> np.ndarray:
     np.right_shift(z, np.uint64(31), out=t)
     z ^= t
     return z
+
+
+def rng_for(seed: int, stream: int) -> np.random.Generator:
+    """numpy generator of sub-stream ``stream`` of ``seed``; any Python
+    int seed is taken modulo 2**64."""
+    return np.random.default_rng([seed & _MASK64, stream])
 
 
 def uniform_at(key: int, idx: np.ndarray) -> np.ndarray:

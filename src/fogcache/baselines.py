@@ -11,6 +11,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from ._kernels import rng_for
 from .cache import EvalResult, Partition, PlacementEvaluator, new_placement
 from .radio import LinkRateTable
 from .scenario import Scenario, all_local_popularity, capacity_slots
@@ -22,7 +23,6 @@ __all__ = [
     "exhaustive_optimal",
 ]
 
-_MASK64 = (1 << 64) - 1
 # placements whose column-cost sum lies within this relative distance of
 # the optimum are re-scored by the evaluator; roundoff between the two
 # sums is many orders of magnitude smaller
@@ -39,7 +39,7 @@ def random_caching(scenario: Scenario, seed: int) -> np.ndarray:
     """Each F-AP caches a uniform random subset that fills its budget."""
     params = scenario.params
     slots = capacity_slots(params)
-    rng = np.random.default_rng([seed & _MASK64, 0xBA5E])
+    rng = rng_for(seed, 0xBA5E)
     x = new_placement(params)
     if slots:
         for m in range(params.num_faps):

@@ -1,5 +1,4 @@
-"""Cache placement model: feasibility, per-request cost, and the
-delay/energy objective.
+"""Cache placement model: feasibility and the delay/energy objective.
 
 A placement is a binary matrix X of shape (M, F); X[m, f] = 1 means
 F-AP m caches content f.  Row sums are limited by the cache capacity.
@@ -19,7 +18,7 @@ bits.  The scalar objective blends delay and energy with weight ``mu``:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -32,14 +31,8 @@ __all__ = [
     "new_placement",
     "capacity_slots",
     "feasible",
-    "cluster_has",
-    "delay_components",
-    "energy_components",
-    "request_delay",
-    "request_energy",
     "caching_energy",
     "PlacementEvaluator",
-    "evaluate",
 ]
 
 
@@ -126,126 +119,6 @@ def feasible(x: np.ndarray, params: SystemParams) -> bool:
     """True when every F-AP's cached bits fit its capacity."""
     counts = np.count_nonzero(x, axis=1)
     return bool(np.all(counts * params.content_size <= params.capacity))
-
-
-def cluster_has(x: np.ndarray, partition: Partition, k: int, f: int) -> int:
-    """1 when any member of cluster k caches content f, else 0."""
-    members = partition.clusters[k]
-    return int(np.any(x[members, f]))
-
-
-def _best_holder(
-    rates: LinkRateTable, x: np.ndarray, m: int, f: int,
-    members: Optional[np.ndarray] = None,
-) -> int:
-    """Holder of f with the best fronthaul rate toward m (lowest index on
-    ties); -1 when nobody holds it.  ``members`` restricts candidates."""
-    cand = np.nonzero(x[:, f])[0] if members is None else members[x[members, f] > 0]
-    best, best_rate = -1, -np.inf
-    for n in cand:
-        n = int(n)
-        if n == m:
-            continue
-        r = rates.coop[m, n]
-        if r > best_rate:
-            best, best_rate = n, r
-    return best
-
-
-def delay_components(
-    scenario: Scenario,
-    rates: LinkRateTable,
-    x: np.ndarray,
-    partition: Partition,
-    u: int,
-    f: int,
-) -> Tuple[float, float, float]:
-    """The three mutually exclusive delay terms for one request.
-
-    Returns (local_cluster, other_cluster, cloud); exactly one is
-    nonzero for any placement.  Indicator arithmetic is kept literal:
-    the local term carries x_k, the other two carry (1 - x_k) times the
-    complementary product over all clusters.
-    """
-    params = scenario.params
-    size = params.content_size
-    m = int(scenario.local_fap[u])
-    k = partition.cluster_of(m)
-    r_mu = rates.access[m, u]
-
-    x_local = cluster_has(x, partition, k, f)
-    prod_none = 1
-    for kk in range(partition.num_clusters):
-        prod_none *= 1 - cluster_has(x, partition, kk, f)
-
-    t_local = x_local * size / r_mu
-    if params.intra_cluster_hop == "charged" and x_local and not x[m, f]:
-        neighbor = _best_holder(rates, x, m, f, members=partition.clusters[k])
-        t_local += size / rates.coop[m, neighbor]
-
-    ind_other = (1 - x_local) * (1 - prod_none)
-    if ind_other:
-        holder = _best_holder(rates, x, m, f)
-        t_other = ind_other * size * (1.0 / rates.coop[m, holder] + 1.0 / r_mu)
-    else:
-        t_other = 0.0
-
-    t_cloud = (1 - x_local) * prod_none * size * (
-        1.0 / params.cloud_rate + 1.0 / r_mu
-    )
-    return float(t_local), float(t_other), float(t_cloud)
-
-
-def energy_components(
-    scenario: Scenario,
-    rates: LinkRateTable,
-    x: np.ndarray,
-    partition: Partition,
-    u: int,
-    f: int,
-) -> Tuple[float, float, float]:
-    """Energy analog of :func:`delay_components`."""
-    params = scenario.params
-    size = params.content_size
-    powers = params.fap_powers()
-    m = int(scenario.local_fap[u])
-    k = partition.cluster_of(m)
-    r_mu = rates.access[m, u]
-    p_m = powers[m]
-
-    x_local = cluster_has(x, partition, k, f)
-    prod_none = 1
-    for kk in range(partition.num_clusters):
-        prod_none *= 1 - cluster_has(x, partition, kk, f)
-
-    e_local = x_local * p_m * size / r_mu
-    if params.intra_cluster_hop == "charged" and x_local and not x[m, f]:
-        neighbor = _best_holder(rates, x, m, f, members=partition.clusters[k])
-        e_local += p_m * size / rates.coop[m, neighbor]
-
-    ind_other = (1 - x_local) * (1 - prod_none)
-    if ind_other:
-        holder = _best_holder(rates, x, m, f)
-        e_other = ind_other * p_m * size * (
-            1.0 / rates.coop[m, holder] + 1.0 / r_mu
-        )
-    else:
-        e_other = 0.0
-
-    e_cloud = (1 - x_local) * prod_none * size * (
-        params.cloud_power / params.cloud_rate + p_m / r_mu
-    )
-    return float(e_local), float(e_other), float(e_cloud)
-
-
-def request_delay(scenario, rates, x, partition, u: int, f: int) -> float:
-    """Delay for user u requesting content f under placement x."""
-    return sum(delay_components(scenario, rates, x, partition, u, f))
-
-
-def request_energy(scenario, rates, x, partition, u: int, f: int) -> float:
-    """Transmission energy for user u requesting content f."""
-    return sum(energy_components(scenario, rates, x, partition, u, f))
 
 
 def caching_energy(x: np.ndarray, params: SystemParams) -> float:
@@ -368,12 +241,3 @@ class PlacementEvaluator:
         objective = mu * delay + (1.0 - mu) * energy
         return EvalResult(delay=delay, energy=energy, objective=objective)
 
-
-def evaluate(
-    scenario: Scenario,
-    rates: LinkRateTable,
-    x: np.ndarray,
-    partition: Partition,
-) -> EvalResult:
-    """One-off evaluation; build a :class:`PlacementEvaluator` for loops."""
-    return PlacementEvaluator(scenario, rates, partition).evaluate(x)

@@ -22,14 +22,11 @@ from .cache import (
     EvalResult,
     Partition,
     PlacementEvaluator,
-    caching_energy,
     feasible,
-    request_delay,
-    request_energy,
 )
 from .firefly import FaConfig, run_fa
 from .hcg import HcgConfig, is_individually_stable, run_hcg
-from .radio import access_rate, build_rate_table, coop_rate
+from .radio import build_rate_table
 from .scenario import SystemParams, generate_scenario
 from .social import build_social_graph
 
@@ -302,24 +299,11 @@ def run_verification(spec: ExperimentSpec) -> List[Tuple[str, bool, str]]:
     ok = same and in_box and rows_ok and local_ok
     checks.append(("scenario", ok, "deterministic, in-box, rows sum to 1"))
 
-    # rate table sanity and scalar agreement
+    # rate table sanity
     rates = build_rate_table(sc)
-    ok = bool(np.all(rates.access > 0))
     off = ~np.eye(params.num_faps, dtype=bool)
-    ok = ok and bool(np.all(rates.coop[off] > 0))
-    probe = np.random.default_rng(0)
-    for _ in range(5):
-        m = int(probe.integers(params.num_faps))
-        u = int(probe.integers(params.num_users))
-        ok = ok and np.isclose(
-            access_rate(sc, m, u), rates.access[m, u], rtol=1e-12, atol=0
-        )
-    if params.num_faps > 1:
-        m, n = 0, params.num_faps - 1
-        ok = ok and np.isclose(
-            coop_rate(sc, m, n), rates.coop[m, n], rtol=1e-12, atol=0
-        )
-    checks.append(("rates", bool(ok), "positive, table matches scalar model"))
+    ok = bool(np.all(rates.access > 0) and np.all(rates.coop[off] > 0))
+    checks.append(("rates", ok, "positive"))
 
     # social graph structure
     graph = build_social_graph(sc, rates)
@@ -345,7 +329,7 @@ def run_verification(spec: ExperimentSpec) -> List[Tuple[str, bool, str]]:
         )
     )
 
-    # objective consistency on a scaled-down system
+    # the optimizer and oracle checks run on a scaled-down system
     small = replace(
         params,
         num_faps=min(params.num_faps, 4),
@@ -357,28 +341,6 @@ def run_verification(spec: ExperimentSpec) -> List[Tuple[str, bool, str]]:
     srates = build_rate_table(ssc)
     sgraph = build_social_graph(ssc, srates)
     spart = run_hcg(sgraph, replace(spec.hcg, seed=derive_key(seed, _TAG_HCG))).partition
-    evaluator = PlacementEvaluator(ssc, srates, spart)
-    rng = np.random.default_rng(derive_key(seed, 0x5E1F) & (2**63 - 1))
-    ok = True
-    for _ in range(5):
-        x = (rng.random((small.num_faps, small.num_contents)) < 0.4).astype(np.uint8)
-        res = evaluator.evaluate(x)
-        t = sum(
-            ssc.demand[u, f] * request_delay(ssc, srates, x, spart, u, f)
-            for u in range(small.num_users)
-            for f in range(small.num_contents)
-        )
-        e = sum(
-            ssc.demand[u, f] * request_energy(ssc, srates, x, spart, u, f)
-            for u in range(small.num_users)
-            for f in range(small.num_contents)
-        )
-        e += caching_energy(x, small)
-        ok = ok and np.isclose(res.delay, t, rtol=1e-9, atol=0)
-        ok = ok and np.isclose(res.energy, e, rtol=1e-9, atol=0)
-    checks.append(
-        ("objective", bool(ok), "aggregated totals match the per-request sums")
-    )
 
     # scheme outputs stay feasible and beat nothing they should not
     xr = random_caching(ssc, derive_key(seed, _TAG_RANDOM))

@@ -25,7 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import derive_key, fold_keys, get_backend
+from ._kernels import derive_key, fold_keys, get_backend, rng_for
 from .cache import EvalResult, Partition, PlacementEvaluator, feasible
 from .radio import LinkRateTable
 from .scenario import Scenario, all_local_popularity, capacity_slots, require_int
@@ -37,7 +37,6 @@ __all__ = [
     "run_fa",
 ]
 
-_MASK64 = (1 << 64) - 1
 _STREAM_INIT = 0xF1
 _STREAM_MOVE = 0xF2
 
@@ -102,7 +101,7 @@ def _initial_swarm(
 ) -> List[np.ndarray]:
     """Seed fireflies with popularity-weighted feasible placements."""
     params = scenario.params
-    rng = np.random.default_rng([seed & _MASK64, _STREAM_INIT])
+    rng = rng_for(seed, _STREAM_INIT)
     uniform = np.full(params.num_contents, 1.0 / params.num_contents)
     swarm = []
     for _ in range(count):

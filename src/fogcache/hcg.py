@@ -18,6 +18,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ._kernels import rng_for
 from .cache import Partition
 from .social import SocialGraph
 
@@ -29,7 +30,6 @@ __all__ = [
     "is_individually_stable",
 ]
 
-_MASK64 = (1 << 64) - 1
 # full sweeps over the F-APs before the loop stops unconverged
 MAX_PASSES = 100
 
@@ -58,7 +58,7 @@ def initial_partition(num_faps: int, num_clusters: int, seed: int) -> Partition:
     """
     if not 1 <= num_clusters <= num_faps:
         raise ValueError("num_clusters must lie in [1, num_faps]")
-    rng = np.random.default_rng([seed & _MASK64, 0xC1A5])
+    rng = rng_for(seed, 0xC1A5)
     labels = rng.integers(0, num_clusters, size=num_faps)
     return Partition.from_labels(labels)
 

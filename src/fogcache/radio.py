@@ -9,7 +9,6 @@ log2(1 + SINR) with pathloss d^-alpha, distances clamped below by
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -17,9 +16,6 @@ from .scenario import Scenario
 
 __all__ = [
     "LinkRateTable",
-    "interference_at",
-    "access_rate",
-    "coop_rate",
     "build_rate_table",
 ]
 
@@ -46,71 +42,6 @@ class LinkRateTable:
             raise ValueError("access rates must be positive")
         if np.any(np.diagonal(self.coop) != 0):
             raise ValueError("coop diagonal must be zero")
-
-
-def _clamped_distance(a: np.ndarray, b: np.ndarray, floor: float) -> float:
-    d = float(np.hypot(a[0] - b[0], a[1] - b[1]))
-    return max(d, floor)
-
-
-def interference_at(
-    scenario: Scenario,
-    receiver_pos: np.ndarray,
-    serving_fap: int,
-    exclude: Iterable[int] = (),
-) -> float:
-    """Interference power (W) at a receiver, by the configured mode.
-
-    ``constant`` gives the configured constant (0 W by default), and
-    ``geometric`` sums the received power of every F-AP other than the
-    serving one (plus any ids in ``exclude``, used for F-AP receivers
-    that do not interfere with themselves).
-    """
-    params = scenario.params
-    if params.interference_mode == "constant":
-        return params.interference_const
-    powers = params.fap_powers()
-    skip = {int(serving_fap)} | {int(e) for e in exclude}
-    total = 0.0
-    for n in range(params.num_faps):
-        if n in skip:
-            continue
-        d = _clamped_distance(scenario.fap_pos[n], receiver_pos, params.min_distance)
-        total += powers[n] * d ** (-params.pathloss_alpha)
-    return total
-
-
-def _shannon(bandwidth: float, power: float, dist: float,
-             alpha: float, noise: float, interference: float) -> float:
-    snr = power * dist ** (-alpha) / (noise + interference)
-    return bandwidth * np.log2(1.0 + snr)
-
-
-def access_rate(scenario: Scenario, m: int, u: int) -> float:
-    """Downlink rate (bit/s) from F-AP m to user u."""
-    params = scenario.params
-    pos = scenario.user_pos[u]
-    d = _clamped_distance(scenario.fap_pos[m], pos, params.min_distance)
-    i = interference_at(scenario, pos, m)
-    return float(
-        _shannon(params.bw_access, params.fap_powers()[m], d,
-                 params.pathloss_alpha, params.noise, i)
-    )
-
-
-def coop_rate(scenario: Scenario, m: int, n: int) -> float:
-    """Fronthaul rate (bit/s) from F-AP m to F-AP n; m == n is an error."""
-    if m == n:
-        raise ValueError("no cooperative link from an F-AP to itself")
-    params = scenario.params
-    pos = scenario.fap_pos[n]
-    d = _clamped_distance(scenario.fap_pos[m], pos, params.min_distance)
-    # the receiving F-AP does not interfere with itself
-    i = interference_at(scenario, pos, m, exclude=(n,))
-    return float(
-        _shannon(params.bw_coop, params.fap_powers()[m], d,
-                 params.pathloss_alpha, params.noise, i)
-    )
 
 
 def build_rate_table(scenario: Scenario) -> LinkRateTable:

@@ -15,6 +15,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from ._kernels import rng_for
+
 __all__ = [
     "SystemParams",
     "Scenario",
@@ -24,8 +26,6 @@ __all__ = [
     "local_demand_mass",
     "capacity_slots",
 ]
-
-_MASK64 = (1 << 64) - 1
 
 _INTERFERENCE_MODES = ("constant", "geometric")
 _INTRA_HOP_MODES = ("free", "charged")
@@ -120,11 +120,6 @@ class SystemParams:
             return self.user_density
         return self.num_users / (self.side_length * self.side_length)
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when the cache cannot hold even a single content."""
-        return self.capacity < self.content_size
-
 
 def capacity_slots(params: SystemParams) -> int:
     """Whole contents that fit in one cache, at most the library size."""
@@ -174,17 +169,13 @@ def zipf_distribution(eta: float, num_contents: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def _rng_for(seed: int, stream: int) -> np.random.Generator:
-    return np.random.default_rng([seed & _MASK64, stream])
-
-
 def generate_scenario(params: SystemParams, seed: int) -> Scenario:
     """Sample geometry and demand for one deterministic instance.
 
     The same (params, seed) pair always yields the same scenario,
     independent of global RNG state.
     """
-    rng = _rng_for(seed, 0x5CE4)
+    rng = rng_for(seed, 0x5CE4)
     side = params.side_length
     m, u, f = params.num_faps, params.num_users, params.num_contents
 

@@ -65,7 +65,6 @@ class SocialGraph:
 def build_social_graph(
     scenario: Scenario,
     rates: LinkRateTable,
-    delta: Optional[float] = None,
 ) -> SocialGraph:
     """Assemble the full social graph for a scenario.
 
@@ -73,8 +72,6 @@ def build_social_graph(
     relationship scores, so the matrix is symmetric by construction.
     """
     params = scenario.params
-    if delta is None:
-        delta = params.social_delta
     m_count = params.num_faps
     density = params.effective_user_density
     powers = params.fap_powers()
@@ -114,7 +111,7 @@ def build_social_graph(
     dist_ff = np.sqrt(np.sum(fap_diff * fap_diff, axis=2))
     relation = np.where(
         dist_ff <= params.dist_threshold,
-        np.exp(-dist_ff / params.dist_threshold) * (gain - delta * loss),
+        np.exp(-dist_ff / params.dist_threshold) * (gain - params.social_delta * loss),
         0.0,
     )
     np.fill_diagonal(relation, 0.0)

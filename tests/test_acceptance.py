@@ -10,23 +10,24 @@ import hashlib
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from conftest import ACCEPTANCE_LINES, subprocess_env
+from conftest import ACCEPTANCE_LINES, request_totals, subprocess_env
 from fogcache import (
     ExperimentSpec,
     FaConfig,
     HcgConfig,
+    PlacementEvaluator,
     SocialGraph,
     SystemParams,
     build_rate_table,
     build_social_graph,
     exhaustive_optimal,
-    evaluate,
     feasible,
     generate_scenario,
     greedy_local,
@@ -294,52 +295,13 @@ def test_beats_baselines(dominance_runs):
     )
 
 
-def _naive_eval(scn, rates, x, part):
-    """Per-request re-derivation of the objective, all plain loops.
-
-    Deliberately shares no code with the vectorized evaluator: walks
-    every (user, content) pair, classifies its service regime, and sums
-    demand-weighted delay and energy directly.
-    """
-    p = scn.params
-    size = p.content_size
-    powers = p.fap_powers()
-    total_t = 0.0
-    total_e = 0.0
-    for u in range(p.num_users):
-        m = int(scn.local_fap[u])
-        members = part.clusters[part.cluster_of(m)].tolist()
-        r_mu = rates.access[m, u]
-        for f in range(p.num_contents):
-            w = float(scn.demand[u, f])
-            in_cluster = any(x[n, f] for n in members)
-            anywhere = any(x[n, f] for n in range(p.num_faps))
-            if in_cluster:
-                t = size / r_mu
-                e = powers[m] * size / r_mu
-            elif anywhere:
-                best_rate = -1.0
-                for n in range(p.num_faps):
-                    if x[n, f] and n != m and rates.coop[m, n] > best_rate:
-                        best_rate = rates.coop[m, n]
-                t = size / best_rate + size / r_mu
-                e = powers[m] * (size / best_rate + size / r_mu)
-            else:
-                t = size / p.cloud_rate + size / r_mu
-                e = (p.cloud_power * size / p.cloud_rate
-                     + powers[m] * size / r_mu)
-            total_t += w * t
-            total_e += w * e
-    total_e += p.cache_coeff * size * int(np.count_nonzero(x))
-    obj = p.weight * total_t + (1.0 - p.weight) * total_e
-    return total_t, total_e, obj
-
-
 def test_double_bookkeeping():
-    """Vectorized evaluator equals the per-request sum to 1e-9 relative."""
+    """Vectorized evaluator equals the per-request sum to 1e-9 relative,
+    with the intra-cluster hop free and charged."""
     rng = np.random.default_rng(88)
     worst = 0.0
     ok = True
+    charged_differs = 0
     for _ in range(20):
         params = SystemParams(
             num_faps=int(rng.integers(2, 6)),
@@ -360,17 +322,23 @@ def test_double_bookkeeping():
                 x[m, :] = 0
         if rng.random() < 0.5:
             x[:, int(rng.integers(params.num_contents))] = 0
-        got = evaluate(scn, rates, x, part)
-        t, e, obj = _naive_eval(scn, rates, x, part)
-        for a, b in ((got.delay, t), (got.energy, e), (got.objective, obj)):
-            rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
-            worst = max(worst, rel)
-            ok = ok and rel <= 1e-9
+        delays = []
+        for hop in ("free", "charged"):
+            hop_scn = replace(scn, params=replace(params, intra_cluster_hop=hop))
+            got = PlacementEvaluator(hop_scn, rates, part).evaluate(x)
+            want = request_totals(hop_scn, rates, x, part)
+            for a, b in zip((got.delay, got.energy, got.objective), want):
+                rel = abs(a - b) / max(abs(a), abs(b), 1e-300)
+                worst = max(worst, rel)
+                ok = ok and rel <= 1e-9
+            delays.append(got.delay)
+        charged_differs += delays[1] > delays[0]
     report(
         "equivalence",
-        ok,
-        f"20 random instances: evaluator matches the per-request sum, "
-        f"max relative difference {worst:.2e}",
+        ok and charged_differs > 0,
+        f"20 random instances, free and charged hop: evaluator matches the "
+        f"per-request sum, max relative difference {worst:.2e}; the charged "
+        f"hop adds delay on {charged_differs}",
     )
 
 

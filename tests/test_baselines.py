@@ -15,7 +15,6 @@ from fogcache import (
     build_rate_table,
     build_social_graph,
     capacity_slots,
-    evaluate,
     exhaustive_optimal,
     feasible,
     generate_scenario,
@@ -187,7 +186,7 @@ def test_exhaustive_matches_enumeration_at_zero_capacity():
     part = Partition.from_labels([0, 0, 1])
     x, res = exhaustive_optimal(scn, rates, part)
     assert not x.any()
-    assert res == evaluate(scn, rates, x, part)
+    assert res == PlacementEvaluator(scn, rates, part).evaluate(x)
     assert assert_same_as_enumeration(scn, rates, part) == 1
 
 
@@ -217,7 +216,7 @@ def test_exhaustive_single_slot_prefers_popular():
     x, res = exhaustive_optimal(scn, rates, Partition.singletons(1))
     assert x.tolist() == [[1, 0]]
     assert res.objective == pytest.approx(
-        evaluate(scn, rates, x, Partition.singletons(1)).objective
+        PlacementEvaluator(scn, rates, Partition.singletons(1)).evaluate(x).objective
     )
 
 
@@ -255,8 +254,9 @@ def test_exhaustive_dominates_other_schemes(small_instance):
     scn, rates = small_instance
     part = Partition.from_labels([0, 0, 1])
     _, best = exhaustive_optimal(scn, rates, part)
-    rand = evaluate(scn, rates, random_caching(scn, seed=1), part)
-    greedy = evaluate(scn, rates, greedy_local(scn), part)
+    ev = PlacementEvaluator(scn, rates, part)
+    rand = ev.evaluate(random_caching(scn, seed=1))
+    greedy = ev.evaluate(greedy_local(scn))
     fa = run_fa(
         scn, rates, part, FaConfig(population=8, max_iters=15, seed=1)
     ).best_eval
@@ -270,6 +270,7 @@ def test_exhaustive_beats_every_feasible_sample(toy2):
     scn, rates = toy2
     part = Partition.singletons(2)
     _, best = exhaustive_optimal(scn, rates, part)
+    ev = PlacementEvaluator(scn, rates, part)
     rng = np.random.default_rng(2)
     for _ in range(20):
         x = np.zeros((2, 2), dtype=np.uint8)
@@ -277,4 +278,4 @@ def test_exhaustive_beats_every_feasible_sample(toy2):
             k = rng.integers(0, 2)  # 1 slot
             if k:
                 row[rng.integers(0, 2)] = 1
-        assert best.objective <= evaluate(scn, rates, x, part).objective + 1e-12
+        assert best.objective <= ev.evaluate(x).objective + 1e-12

@@ -13,18 +13,22 @@ from fogcache import (
     SystemParams,
     build_rate_table,
     caching_energy,
-    cluster_has,
-    delay_components,
-    energy_components,
-    evaluate,
     feasible,
     generate_scenario,
     new_placement,
-    request_delay,
-    request_energy,
 )
 
-from conftest import make_params, make_rates, make_scenario
+from conftest import (
+    cluster_has,
+    delay_components,
+    energy_components,
+    make_params,
+    make_rates,
+    make_scenario,
+    request_delay,
+    request_energy,
+    request_totals,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +207,7 @@ def test_evaluate_toy_hand_numbers(toy2):
     scn, rates = toy2
     part = Partition.singletons(2)
     x = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-    res = evaluate(scn, rates, x, part)
+    res = PlacementEvaluator(scn, rates, part).evaluate(x)
     # T = .7*.5 + .3*1.5 + .2*.75 + .8*.25 = 1.15
     assert res.delay == pytest.approx(1.15, rel=1e-12)
     # E = Jc*L*2 + .7*5 + .3*15 + .2*7.5 + .8*2.5 = 11.5000125
@@ -215,7 +219,7 @@ def test_evaluate_empty_placement(toy2):
     scn, rates = toy2
     part = Partition.singletons(2)
     x = np.zeros((2, 2), dtype=np.uint8)
-    res = evaluate(scn, rates, x, part)
+    res = PlacementEvaluator(scn, rates, part).evaluate(x)
     assert res.delay == pytest.approx(4.75, rel=1e-12)
     assert res.energy == pytest.approx(87.5, rel=1e-12)
     assert res.objective == pytest.approx(86.6725, rel=1e-12)
@@ -224,7 +228,7 @@ def test_evaluate_empty_placement(toy2):
 def test_evaluate_whole_set_improves_delay(toy2):
     scn, rates = toy2
     x = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-    res = evaluate(scn, rates, x, Partition.whole_set(2))
+    res = PlacementEvaluator(scn, rates, Partition.whole_set(2)).evaluate(x)
     assert res.delay == pytest.approx(0.75, rel=1e-12)
     assert res.objective == pytest.approx(7.432512375, rel=1e-12)
 
@@ -238,7 +242,7 @@ def test_objective_is_pure_delay_at_full_weight(toy2):
         demand=scn.demand,
     )
     x = np.array([[1, 1], [0, 0]], dtype=np.uint8)  # infeasible is fine here
-    res = evaluate(heavy, rates, x, Partition.singletons(2))
+    res = PlacementEvaluator(heavy, rates, Partition.singletons(2)).evaluate(x)
     assert res.objective == res.delay
 
 
@@ -250,15 +254,10 @@ def test_evaluate_matches_request_sum(small_instance):
     for _ in range(5):
         x = (rng.random((3, 6)) < 0.4).astype(np.uint8)
         res = ev.evaluate(x)
-        delay = 0.0
-        energy = caching_energy(x, scn.params)
-        for u in range(scn.params.num_users):
-            for f in range(scn.params.num_contents):
-                p = scn.demand[u, f]
-                delay += p * request_delay(scn, rates, x, part, u, f)
-                energy += p * request_energy(scn, rates, x, part, u, f)
+        delay, energy, objective = request_totals(scn, rates, x, part)
         assert res.delay == pytest.approx(delay, rel=1e-9)
         assert res.energy == pytest.approx(energy, rel=1e-9)
+        assert res.objective == pytest.approx(objective, rel=1e-9)
 
 
 def test_local_copy_never_hurts_delay(small_instance):

@@ -3,6 +3,7 @@
 import csv
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,20 +13,29 @@ from fogcache import (
     ExperimentSpec,
     FaConfig,
     HcgConfig,
+    PlacementEvaluator,
     SystemParams,
+    build_rate_table,
+    build_social_graph,
     dbm_to_watts,
+    experiment,
     gb_to_bits,
+    generate_scenario,
     load_config,
     mb_to_bits,
     mhz_to_hz,
     run_experiment,
+    run_hcg,
     run_verification,
     write_csv,
     write_trace_csv,
 )
+from fogcache._kernels import derive_key
 from fogcache.cli import main
 from fogcache.config import parse_config
 from fogcache.experiment import ResultRow
+
+from conftest import request_totals
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
@@ -339,6 +349,38 @@ def test_run_verification_all_green():
     assert failed == []
 
 
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_evaluator_matches_request_sum(path):
+    """On the scaled-down system of the verify battery (at most 4 F-APs,
+    12 users and 8 contents, 2 slots, HCG partition), the evaluator
+    equals the per-request reference on 5 placements of density 0.4."""
+    spec = load_config(str(path))
+    seed = spec.seeds[0]
+    value = spec.sweep_values[0] if spec.sweep_axis != "none" else None
+    params = experiment._apply_axis(spec.system, spec.sweep_axis, value)
+    small = replace(
+        params,
+        num_faps=min(params.num_faps, 4),
+        num_users=min(params.num_users, 12),
+        num_contents=min(params.num_contents, 8),
+        capacity=2.0 * params.content_size,
+    )
+    scn = generate_scenario(small, seed)
+    rates = build_rate_table(scn)
+    graph = build_social_graph(scn, rates)
+    hcg = replace(spec.hcg, seed=derive_key(seed, experiment._TAG_HCG))
+    part = run_hcg(graph, hcg).partition
+    evaluator = PlacementEvaluator(scn, rates, part)
+    rng = np.random.default_rng(derive_key(seed, 0x5E1F) & (2**63 - 1))
+    for _ in range(5):
+        x = (rng.random((small.num_faps, small.num_contents)) < 0.4).astype(np.uint8)
+        res = evaluator.evaluate(x)
+        delay, energy, objective = request_totals(scn, rates, x, part)
+        assert res.delay == pytest.approx(delay, rel=1e-9)
+        assert res.energy == pytest.approx(energy, rel=1e-9)
+        assert res.objective == pytest.approx(objective, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # command line
 
@@ -453,6 +495,15 @@ def test_shipped_config_loads_and_verifies(path, capsys):
     load_config(str(path))
     assert main(["verify", str(path)]) == 0
     assert "[FAIL]" not in capsys.readouterr().out
+
+
+def test_cli_verify_reports_failed_check(monkeypatch, capsys):
+    monkeypatch.setattr(experiment, "is_individually_stable", lambda *args: False)
+    small = next(p for p in CONFIGS if p.name == "small.yaml")
+    assert main(["verify", str(small)]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] clustering" in captured.out
+    assert "1 of 6 checks failed" in captured.err
 
 
 def test_cli_dump_social(config_file, tmp_path):

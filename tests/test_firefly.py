@@ -10,8 +10,8 @@ from fogcache import firefly
 from fogcache import (
     FaConfig,
     Partition,
+    PlacementEvaluator,
     brightness_normalize,
-    evaluate,
     feasible,
     run_fa,
 )
@@ -238,11 +238,12 @@ def test_run_fa_finds_single_slot_optimum():
     res = run_fa(scn, rates, part, cfg)
     assert res.best_matrix.tolist() == [[1, 0, 0]]
     # brute force over the three single-slot placements agrees
+    ev = PlacementEvaluator(scn, rates, part)
     objs = []
     for f in range(3):
         x = np.zeros((1, 3), dtype=np.uint8)
         x[0, f] = 1
-        objs.append(evaluate(scn, rates, x, part).objective)
+        objs.append(ev.evaluate(x).objective)
     assert res.best_eval.objective == pytest.approx(min(objs), rel=1e-12)
 
 

@@ -1,18 +1,111 @@
-"""Link rates: pathloss, interference modes, and the vectorized table."""
+"""Link rates: pathloss, interference modes, and the vectorized table.
+
+The per-link functions below are the scalar reference model that
+:func:`fogcache.build_rate_table` must reproduce.
+"""
+
+from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 import pytest
 
 from fogcache import (
+    Scenario,
     SystemParams,
-    access_rate,
     build_rate_table,
-    coop_rate,
     generate_scenario,
-    interference_at,
+    load_config,
 )
 
 from conftest import make_params, make_scenario
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
+
+
+def _clamped_distance(a: np.ndarray, b: np.ndarray, floor: float) -> float:
+    d = float(np.hypot(a[0] - b[0], a[1] - b[1]))
+    return max(d, floor)
+
+
+def interference_at(
+    scenario: Scenario,
+    receiver_pos: np.ndarray,
+    serving_fap: int,
+    exclude: Iterable[int] = (),
+) -> float:
+    """Interference power (W) at a receiver, by the configured mode.
+
+    ``constant`` gives the configured constant (0 W by default), and
+    ``geometric`` sums the received power of every F-AP other than the
+    serving one (plus any ids in ``exclude``, used for F-AP receivers
+    that do not interfere with themselves).
+    """
+    params = scenario.params
+    if params.interference_mode == "constant":
+        return params.interference_const
+    powers = params.fap_powers()
+    skip = {int(serving_fap)} | {int(e) for e in exclude}
+    total = 0.0
+    for n in range(params.num_faps):
+        if n in skip:
+            continue
+        d = _clamped_distance(scenario.fap_pos[n], receiver_pos, params.min_distance)
+        total += powers[n] * d ** (-params.pathloss_alpha)
+    return total
+
+
+def _shannon(bandwidth: float, power: float, dist: float,
+             alpha: float, noise: float, interference: float) -> float:
+    snr = power * dist ** (-alpha) / (noise + interference)
+    return bandwidth * np.log2(1.0 + snr)
+
+
+def access_rate(scenario: Scenario, m: int, u: int) -> float:
+    """Downlink rate (bit/s) from F-AP m to user u."""
+    params = scenario.params
+    pos = scenario.user_pos[u]
+    d = _clamped_distance(scenario.fap_pos[m], pos, params.min_distance)
+    i = interference_at(scenario, pos, m)
+    return float(
+        _shannon(params.bw_access, params.fap_powers()[m], d,
+                 params.pathloss_alpha, params.noise, i)
+    )
+
+
+def coop_rate(scenario: Scenario, m: int, n: int) -> float:
+    """Fronthaul rate (bit/s) from F-AP m to F-AP n; m == n is an error."""
+    if m == n:
+        raise ValueError("no cooperative link from an F-AP to itself")
+    params = scenario.params
+    pos = scenario.fap_pos[n]
+    d = _clamped_distance(scenario.fap_pos[m], pos, params.min_distance)
+    # the receiving F-AP does not interfere with itself
+    i = interference_at(scenario, pos, m, exclude=(n,))
+    return float(
+        _shannon(params.bw_coop, params.fap_powers()[m], d,
+                 params.pathloss_alpha, params.noise, i)
+    )
+
+
+def assert_table_matches_scalar(scn: Scenario, table) -> None:
+    """Every entry of ``table`` equals the scalar model to 1e-12 relative;
+    the coop diagonal is exactly zero."""
+    params = scn.params
+    assert table.access.shape == (params.num_faps, params.num_users)
+    assert table.coop.shape == (params.num_faps, params.num_faps)
+    for m in range(params.num_faps):
+        for u in range(params.num_users):
+            assert table.access[m, u] == pytest.approx(
+                access_rate(scn, m, u), rel=1e-12
+            )
+        for n in range(params.num_faps):
+            if m == n:
+                assert table.coop[m, n] == 0.0
+            else:
+                assert table.coop[m, n] == pytest.approx(
+                    coop_rate(scn, m, n), rel=1e-12
+                )
 
 
 def _one_link(power, dist, bw=1.0e7, noise=1.0e-13, mode="constant", const=0.0,
@@ -93,6 +186,9 @@ def test_access_rate_reference_point():
     # 10 MHz, 39.81 W, 100 m, alpha 4, noise 1e-13 W
     scn = _one_link(39.81, 100.0)
     assert access_rate(scn, 0, 0) == pytest.approx(219246998.0314853, rel=1e-12)
+    assert build_rate_table(scn).access[0, 0] == pytest.approx(
+        219246998.0314853, rel=1e-12
+    )
 
 
 def test_rate_decreases_with_distance():
@@ -105,6 +201,8 @@ def test_distance_clamp_floors_the_pathloss():
     at_half = access_rate(_one_link(10.0, 0.5), 0, 0)
     at_clamp = access_rate(_one_link(10.0, 1.0), 0, 0)
     assert at_zero == at_half == at_clamp
+    table = [build_rate_table(_one_link(10.0, d)).access[0, 0] for d in (0.0, 0.5)]
+    assert table == [pytest.approx(at_clamp, rel=1e-12)] * 2
 
 
 def test_coop_rate_matches_access_formula():
@@ -146,21 +244,14 @@ def test_rate_table_matches_scalar_functions(mode, const):
         interference_const=const,
     )
     scn = generate_scenario(params, seed=3)
-    table = build_rate_table(scn)
-    assert table.access.shape == (4, 10)
-    assert table.coop.shape == (4, 4)
-    for m in range(4):
-        for u in range(10):
-            assert table.access[m, u] == pytest.approx(
-                access_rate(scn, m, u), rel=1e-12
-            )
-        for n in range(4):
-            if m == n:
-                assert table.coop[m, n] == 0.0
-            else:
-                assert table.coop[m, n] == pytest.approx(
-                    coop_rate(scn, m, n), rel=1e-12
-                )
+    assert_table_matches_scalar(scn, build_rate_table(scn))
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_rate_table_matches_scalar_functions(path):
+    spec = load_config(str(path))
+    scn = generate_scenario(spec.system, spec.seeds[0])
+    assert_table_matches_scalar(scn, build_rate_table(scn))
 
 
 def test_rate_table_positive(small_instance):

@@ -129,8 +129,8 @@ def test_capacity_slots():
 
 
 def test_degenerate_flag():
-    assert make_params(capacity=0.5e6).is_degenerate
-    assert not make_params(capacity=1.0e6).is_degenerate
+    assert capacity_slots(make_params(capacity=0.5e6)) == 0
+    assert capacity_slots(make_params(capacity=1.0e6)) == 1
 
 
 def test_effective_user_density_default_and_override():
