@@ -39,7 +39,6 @@ from .hcg import (
     HcgConfig,
     HcgResult,
     initial_partition,
-    is_individually_stable,
     run_hcg,
 )
 from .radio import LinkRateTable, build_rate_table
@@ -90,7 +89,6 @@ __all__ = [
     "HcgConfig",
     "HcgResult",
     "initial_partition",
-    "is_individually_stable",
     "run_hcg",
     "LinkRateTable",
     "build_rate_table",

@@ -122,12 +122,18 @@ def parse_config(doc: Optional[Mapping[str, Any]]) -> ExperimentSpec:
             f"unknown key(s) {sorted(unknown)} in section 'experiment'; "
             f"expected a subset of {sorted(_EXPERIMENT_KEYS)}"
         )
-    if "sweep_values" in exp and exp["sweep_values"] is not None:
-        exp["sweep_values"] = tuple(float(_coerce(v)) for v in exp["sweep_values"])
-    if "seeds" in exp and exp["seeds"] is not None:
-        exp["seeds"] = tuple(int(v) for v in exp["seeds"])
-    if "schemes" in exp and exp["schemes"] is not None:
-        exp["schemes"] = tuple(exp["schemes"])
+    for key in ("sweep_values", "seeds", "schemes"):
+        value = exp.get(key)
+        if value is None:
+            continue
+        if not isinstance(value, (list, tuple)):
+            raise ValueError(f"experiment.{key} must be a list, got {value!r}")
+        if key == "sweep_values":
+            try:
+                value = [float(_coerce(v)) for v in value]
+            except TypeError:
+                raise ValueError(f"experiment.sweep_values must be numbers: {value!r}")
+        exp[key] = tuple(value)
     return ExperimentSpec(system=system, hcg=HcgConfig(), fa=fa, **exp)
 
 

@@ -27,7 +27,6 @@ __all__ = [
     "HcgResult",
     "initial_partition",
     "run_hcg",
-    "is_individually_stable",
 ]
 
 # full sweeps over the F-APs before the loop stops unconverged
@@ -128,24 +127,3 @@ def run_hcg(
         moves=moves,
         potential_history=history,
     )
-
-
-def is_individually_stable(graph: SocialGraph, partition: Partition) -> bool:
-    """Check that no F-AP can strictly gain by joining an open cluster.
-
-    Covers moves into every other existing cluster and secession into a
-    fresh singleton.
-    """
-    mutual = graph.mutual
-    for m in range(partition.num_faps):
-        cur = partition.cluster_of(m)
-        stay = float(np.sum(mutual[m, partition.clusters[cur]]))
-        if 0.0 > stay:
-            return False
-        for k, members in enumerate(partition.clusters):
-            if k == cur:
-                continue
-            value = float(np.sum(mutual[m, members]))
-            if value > stay and bool(np.all(mutual[members, m] >= 0)):
-                return False
-    return True

@@ -17,6 +17,7 @@ from fogcache import (
     LinkRateTable,
     Partition,
     Scenario,
+    SocialGraph,
     SystemParams,
     build_rate_table,
     generate_scenario,
@@ -241,6 +242,27 @@ def request_totals(scenario, rates, x, partition):
             energy += p * request_energy(scenario, rates, x, partition, u, f)
     mu = params.weight
     return delay, energy, mu * delay + (1.0 - mu) * energy
+
+
+def is_individually_stable(graph: SocialGraph, partition: Partition) -> bool:
+    """Check that no F-AP can strictly gain by joining an open cluster.
+
+    Covers moves into every other existing cluster and secession into a
+    fresh singleton.
+    """
+    mutual = graph.mutual
+    for m in range(partition.num_faps):
+        cur = partition.cluster_of(m)
+        stay = float(np.sum(mutual[m, partition.clusters[cur]]))
+        if 0.0 > stay:
+            return False
+        for k, members in enumerate(partition.clusters):
+            if k == cur:
+                continue
+            value = float(np.sum(mutual[m, members]))
+            if value > stay and bool(np.all(mutual[members, m] >= 0)):
+                return False
+    return True
 
 
 def make_params(**overrides) -> SystemParams:

@@ -17,7 +17,12 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import ACCEPTANCE_LINES, request_totals, subprocess_env
+from conftest import (
+    ACCEPTANCE_LINES,
+    is_individually_stable,
+    request_totals,
+    subprocess_env,
+)
 from fogcache import (
     ExperimentSpec,
     FaConfig,
@@ -31,7 +36,6 @@ from fogcache import (
     feasible,
     generate_scenario,
     greedy_local,
-    is_individually_stable,
     random_caching,
     run_experiment,
     run_fa,

@@ -7,13 +7,13 @@ import numpy as np
 import pytest
 
 from fogcache import (
+    ExperimentSpec,
     FaConfig,
     HcgConfig,
     Partition,
     PlacementEvaluator,
     SystemParams,
     build_rate_table,
-    build_social_graph,
     capacity_slots,
     exhaustive_optimal,
     feasible,
@@ -21,10 +21,8 @@ from fogcache import (
     greedy_local,
     random_caching,
     run_fa,
-    run_hcg,
 )
-from fogcache._kernels import derive_key
-from fogcache.experiment import _TAG_HCG
+from fogcache.experiment import _build_cell
 
 from conftest import local_popularity, make_params, make_rates, make_scenario
 
@@ -64,10 +62,8 @@ def enumerate_optimal(scenario, rates, partition):
 
 def gate_instance(seed):
     """Scenario, rates and HCG partition of one near-optimality gate seed."""
-    scn = generate_scenario(SMALL, seed)
-    rates = build_rate_table(scn)
-    graph = build_social_graph(scn, rates)
-    part = run_hcg(graph, HcgConfig(seed=derive_key(seed, _TAG_HCG))).partition
+    spec = ExperimentSpec(system=SMALL, hcg=HcgConfig(), fa=FaConfig())
+    scn, rates, _, _, part = _build_cell(spec, SMALL, seed)
     return scn, rates, part
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from fogcache import (
     ExperimentSpec,
@@ -15,17 +16,13 @@ from fogcache import (
     HcgConfig,
     PlacementEvaluator,
     SystemParams,
-    build_rate_table,
-    build_social_graph,
     dbm_to_watts,
     experiment,
     gb_to_bits,
-    generate_scenario,
     load_config,
     mb_to_bits,
     mhz_to_hz,
     run_experiment,
-    run_hcg,
     run_verification,
     write_csv,
     write_trace_csv,
@@ -35,7 +32,7 @@ from fogcache.cli import main
 from fogcache.config import parse_config
 from fogcache.experiment import ResultRow
 
-from conftest import request_totals
+from conftest import is_individually_stable, request_totals
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
@@ -196,6 +193,33 @@ def test_load_config_rejects_fractional_counts(tmp_path, capsys):
     assert "error: num_users must be an integer" in capsys.readouterr().err
 
 
+# experiment sections that used to run truncated or coerced, or crash
+BAD_EXPERIMENT = {
+    "seed-fraction": "seeds: [0.5]",
+    "seed-bool": "seeds: [true]",
+    "cap-fraction": "exhaustive_cap: 2.5",
+    "cap-bool": "exhaustive_cap: true",
+    "seeds-scalar": "seeds: 5",
+    "sweep-values-scalar": "sweep_axis: capacity\n  sweep_values: 5",
+    "sweep-values-null": "sweep_axis: capacity\n  sweep_values: [null]",
+}
+
+
+@pytest.mark.parametrize("body", BAD_EXPERIMENT.values(), ids=list(BAD_EXPERIMENT))
+def test_bad_experiment_section_is_a_config_error(body, tmp_path, capsys):
+    text = f"experiment:\n  {body}\n"
+    with pytest.raises(ValueError):
+        parse_config(yaml.safe_load(text))
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(text)
+    assert main(["run", str(bad), "-o", str(tmp_path / "out.csv")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_negative_seeds_stay_allowed():
+    assert parse_config({"experiment": {"seeds": [-3, 2]}}).seeds == (-3, 2)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         small_spec(schemes=("psychic",))
@@ -349,27 +373,32 @@ def test_run_verification_all_green():
     assert failed == []
 
 
+def first_cell(spec: ExperimentSpec):
+    """(parameters, seed) of the first cell of a spec."""
+    value = spec.sweep_values[0] if spec.sweep_axis != "none" else None
+    return experiment._apply_axis(spec.system, spec.sweep_axis, value), spec.seeds[0]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_partition_is_individually_stable(path):
+    """The HCG partition of each shipped config's first cell is
+    individually stable by the scalar reference rule."""
+    spec = load_config(str(path))
+    params, seed = first_cell(spec)
+    _, _, graph, hcg_res, part = experiment._build_cell(spec, params, seed)
+    assert hcg_res.converged
+    assert is_individually_stable(graph, part)
+
+
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
 def test_shipped_config_evaluator_matches_request_sum(path):
     """On the scaled-down system of the verify battery (at most 4 F-APs,
     12 users and 8 contents, 2 slots, HCG partition), the evaluator
     equals the per-request reference on 5 placements of density 0.4."""
     spec = load_config(str(path))
-    seed = spec.seeds[0]
-    value = spec.sweep_values[0] if spec.sweep_axis != "none" else None
-    params = experiment._apply_axis(spec.system, spec.sweep_axis, value)
-    small = replace(
-        params,
-        num_faps=min(params.num_faps, 4),
-        num_users=min(params.num_users, 12),
-        num_contents=min(params.num_contents, 8),
-        capacity=2.0 * params.content_size,
-    )
-    scn = generate_scenario(small, seed)
-    rates = build_rate_table(scn)
-    graph = build_social_graph(scn, rates)
-    hcg = replace(spec.hcg, seed=derive_key(seed, experiment._TAG_HCG))
-    part = run_hcg(graph, hcg).partition
+    params, seed = first_cell(spec)
+    small = experiment._scaled_down(params)
+    scn, rates, _, _, part = experiment._build_cell(spec, small, seed)
     evaluator = PlacementEvaluator(scn, rates, part)
     rng = np.random.default_rng(derive_key(seed, 0x5E1F) & (2**63 - 1))
     for _ in range(5):
@@ -498,12 +527,33 @@ def test_shipped_config_loads_and_verifies(path, capsys):
 
 
 def test_cli_verify_reports_failed_check(monkeypatch, capsys):
-    monkeypatch.setattr(experiment, "is_individually_stable", lambda *args: False)
+    real = experiment.run_hcg
+    monkeypatch.setattr(
+        experiment, "run_hcg", lambda *args: replace(real(*args), converged=False)
+    )
     small = next(p for p in CONFIGS if p.name == "small.yaml")
     assert main(["verify", str(small)]) == 1
     captured = capsys.readouterr()
     assert "[FAIL] clustering" in captured.out
     assert "1 of 6 checks failed" in captured.err
+
+
+def test_cli_verify_reports_infeasible_scheme(monkeypatch, capsys):
+    """An overfilled row trips the feasibility assert inside
+    run_experiment; verify reports it as a failed check, not a crash."""
+    real = experiment.greedy_local
+
+    def overfull(scenario):
+        x = real(scenario)
+        x[0, :] = 1
+        return x
+
+    monkeypatch.setattr(experiment, "greedy_local", overfull)
+    small = next(p for p in CONFIGS if p.name == "small.yaml")
+    assert main(["verify", str(small)]) == 1
+    captured = capsys.readouterr()
+    assert "[FAIL] optimizer" in captured.out
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_cli_dump_social(config_file, tmp_path):

@@ -18,13 +18,14 @@ from fogcache import (
     generate_scenario,
     hcg,
     initial_partition,
-    is_individually_stable,
     load_config,
     run_hcg,
 )
 from fogcache._kernels import derive_key
 from fogcache.experiment import _TAG_HCG
 from fogcache.hcg import MAX_PASSES
+
+from conftest import is_individually_stable
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -18,7 +18,7 @@ from fogcache import (
     load_config,
 )
 
-from conftest import make_params, make_scenario
+from conftest import make_params, make_rates, make_scenario
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
@@ -259,3 +259,9 @@ def test_rate_table_positive(small_instance):
     assert np.all(rates.access > 0)
     off_diag = rates.coop[~np.eye(3, dtype=bool)]
     assert np.all(off_diag > 0)
+
+
+def test_rate_table_validate_rejects_nonpositive_access():
+    """build_rate_table validates its table, so no caller re-checks it."""
+    with pytest.raises(ValueError, match="access rates must be positive"):
+        make_rates(access=[[1.0e6, 0.0]], coop=[[0.0]])

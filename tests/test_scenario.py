@@ -236,6 +236,17 @@ def test_scenario_validate_rejects_bad_rows():
         )
 
 
+def test_scenario_validate_rejects_negative_demand():
+    params = make_params()
+    with pytest.raises(ValueError, match="non-negative"):
+        make_scenario(
+            params,
+            fap_pos=[[0, 0], [1, 0]],
+            user_pos=[[0, 0], [1, 0]],
+            demand=[[1.5, -0.5], [0.5, 0.5]],  # sums to 1, one entry < 0
+        )
+
+
 # ---------------------------------------------------------------------------
 # local popularity
 
