@@ -25,6 +25,7 @@ GB, MB, MHz) used by the command-line flags into SI.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import fields
 from typing import Any, Mapping, Optional
 
@@ -87,14 +88,7 @@ def _build(cls, section: Mapping[str, Any], where: str):
     return cls(**kwargs)
 
 
-_EXPERIMENT_KEYS = {
-    "sweep_axis",
-    "sweep_values",
-    "seeds",
-    "schemes",
-    "clustering",
-    "exhaustive_cap",
-}
+_EXPERIMENT_KEYS = {f.name for f in fields(ExperimentSpec)} - {"system", "hcg", "fa"}
 
 
 def parse_config(doc: Optional[Mapping[str, Any]]) -> ExperimentSpec:
@@ -129,10 +123,12 @@ def parse_config(doc: Optional[Mapping[str, Any]]) -> ExperimentSpec:
         if not isinstance(value, (list, tuple)):
             raise ValueError(f"experiment.{key} must be a list, got {value!r}")
         if key == "sweep_values":
-            try:
-                value = [float(_coerce(v)) for v in value]
-            except TypeError:
+            value = [_coerce(v) for v in value]
+            # a YAML bool is an int to Python; reject it like a bool seed
+            if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                       for v in value):
                 raise ValueError(f"experiment.sweep_values must be numbers: {value!r}")
+            value = [float(v) for v in value]
         exp[key] = tuple(value)
     return ExperimentSpec(system=system, hcg=HcgConfig(), fa=fa, **exp)
 

@@ -276,49 +276,33 @@ def _scaled_down(params: SystemParams) -> SystemParams:
 
 
 def run_verification(spec: ExperimentSpec) -> List[Tuple[str, bool, str]]:
-    """Cheap invariant battery over the first HCG cell of the spec.
+    """Cheap behaviour battery over the first cell of the spec, as configured.
 
     Returns (check name, passed, detail) triples.  The optimizer and
     oracle checks run the schemes through :func:`run_experiment`, twice,
     on a scaled-down copy of the system so the battery stays fast at
-    full scale.  Invariants that the constructors already enforce
-    (demand rows, access rates, graph symmetry) are not repeated here.
+    full scale.  The constructors enforce geometry, demand, link rates
+    and the social graph on every cell, so those are not repeated here.
     """
     checks: List[Tuple[str, bool, str]] = []
-    spec = replace(spec, clustering="hcg")
     seed = spec.seeds[0]
     value = spec.sweep_values[0] if spec.sweep_axis != "none" else None
     params = _apply_axis(spec.system, spec.sweep_axis, value)
-    sc, rates, graph, hcg_res, _ = _build_cell(spec, params, seed)
+    sc, _, _, hcg_res, _ = _build_cell(spec, params, seed)
 
-    # scenario determinism and geometry invariants
     sc2 = generate_scenario(params, seed)
-    same = (
-        np.array_equal(sc.fap_pos, sc2.fap_pos)
-        and np.array_equal(sc.user_pos, sc2.user_pos)
-        and np.array_equal(sc.demand, sc2.demand)
+    ok = all(
+        np.array_equal(getattr(sc, name), getattr(sc2, name))
+        for name in ("fap_pos", "user_pos", "local_fap", "demand")
     )
-    in_box = bool(
-        np.all(sc.fap_pos >= 0) and np.all(sc.fap_pos <= params.side_length)
-        and np.all(sc.user_pos >= 0) and np.all(sc.user_pos <= params.side_length)
-    )
-    diff = sc.user_pos[:, None, :] - sc.fap_pos[None, :, :]
-    nearest = np.argmin(np.sqrt((diff * diff).sum(axis=2)), axis=1)
-    local_ok = bool(np.array_equal(nearest, sc.local_fap))
-    ok = same and in_box and local_ok
-    checks.append(("scenario", ok, "deterministic, in-box, rows sum to 1"))
+    checks.append(("scenario", ok, "deterministic"))
 
-    off = ~np.eye(params.num_faps, dtype=bool)
-    checks.append(("rates", bool(np.all(rates.coop[off] > 0)), "positive"))
-
-    ok = bool(np.all(np.isfinite(graph.mutual)))
-    checks.append(("social-graph", ok, "symmetric, zero diagonal, finite"))
-
-    gaps = np.diff(hcg_res.potential_history)
-    ok = hcg_res.converged and bool(np.all(gaps > 0))
-    detail = (f"converged in {hcg_res.passes} passes, "
-              f"{hcg_res.partition.num_clusters} clusters, welfare rises per move")
-    checks.append(("clustering", ok, detail))
+    if hcg_res is not None:
+        gaps = np.diff(hcg_res.potential_history)
+        ok = hcg_res.converged and bool(np.all(gaps > 0))
+        detail = (f"converged in {hcg_res.passes} passes, "
+                  f"{hcg_res.partition.num_clusters} clusters, welfare rises per move")
+        checks.append(("clustering", ok, detail))
 
     # run_experiment asserts feasibility; a second run must repeat the first
     small = _scaled_down(params)
@@ -329,14 +313,16 @@ def run_verification(spec: ExperimentSpec) -> List[Tuple[str, bool, str]]:
         spec, system=small, sweep_axis="none", sweep_values=(), seeds=(seed,),
         schemes=schemes, fa=replace(spec.fa, max_iters=min(spec.fa.max_iters, 20)),
     )
+    detail = "feasible, monotone incumbent, deterministic"
     try:
         rows, traces = run_experiment(small_spec, repeatable_timing=True)
         ok = (rows, traces) == run_experiment(small_spec, repeatable_timing=True)
-    except AssertionError:
+    except AssertionError as exc:
         rows, traces, ok = [], [], False
+        detail += f"; {exc}"
     hist = [t.best_objective for t in traces]
     ok = ok and bool(np.all(np.diff(hist) <= 0))
-    checks.append(("optimizer", ok, "feasible, monotone incumbent, deterministic"))
+    checks.append(("optimizer", ok, detail))
 
     if "exhaustive" in schemes:
         best = {r.scheme: r.objective for r in rows}

@@ -75,10 +75,6 @@ class FaResult:
     iterations: int
     population: List[np.ndarray] = field(default_factory=list)
 
-    @property
-    def objectives(self) -> np.ndarray:
-        return np.asarray([h[0] for h in self.history])
-
 
 def brightness_normalize(objectives: np.ndarray) -> np.ndarray:
     """Map objectives to brightness in [0, 1], best (lowest) brightest.

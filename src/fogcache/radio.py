@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import Scenario
+from .scenario import Scenario, pairwise_distance
 
 __all__ = [
     "LinkRateTable",
@@ -25,7 +25,8 @@ class LinkRateTable:
     """Precomputed link rates for one scenario.
 
     access[m, u] is the F-AP m to user u rate in bit/s; coop[m, n] the
-    F-AP m to F-AP n rate, zero on the diagonal (no self link).
+    F-AP m to F-AP n rate, zero on the diagonal (no self link).  Every
+    other rate is positive; ``validate`` rejects zero and NaN.
     """
 
     access: np.ndarray  # (M, U)
@@ -38,10 +39,13 @@ class LinkRateTable:
             raise ValueError("coop table must be square")
         if self.access.shape[0] != self.coop.shape[0]:
             raise ValueError("access and coop tables disagree on the F-AP count")
-        if np.any(self.access <= 0):
+        if not np.all(self.access > 0):
             raise ValueError("access rates must be positive")
         if np.any(np.diagonal(self.coop) != 0):
             raise ValueError("coop diagonal must be zero")
+        off_diagonal = ~np.eye(self.coop.shape[0], dtype=bool)
+        if not np.all(self.coop[off_diagonal] > 0):
+            raise ValueError("off-diagonal fronthaul rates must be positive")
 
 
 def build_rate_table(scenario: Scenario) -> LinkRateTable:
@@ -51,12 +55,10 @@ def build_rate_table(scenario: Scenario) -> LinkRateTable:
     alpha = params.pathloss_alpha
     floor = params.min_distance
 
-    diff_au = scenario.fap_pos[:, None, :] - scenario.user_pos[None, :, :]
-    d_au = np.maximum(np.sqrt(np.sum(diff_au * diff_au, axis=2)), floor)
+    d_au = np.maximum(pairwise_distance(scenario.fap_pos, scenario.user_pos), floor)
     recv_au = powers[:, None] * d_au ** (-alpha)
 
-    diff_ff = scenario.fap_pos[:, None, :] - scenario.fap_pos[None, :, :]
-    d_ff = np.maximum(np.sqrt(np.sum(diff_ff * diff_ff, axis=2)), floor)
+    d_ff = np.maximum(pairwise_distance(scenario.fap_pos, scenario.fap_pos), floor)
     recv_ff = powers[:, None] * d_ff ** (-alpha)
 
     if params.interference_mode == "constant":

@@ -25,6 +25,7 @@ __all__ = [
     "all_local_popularity",
     "local_demand_mass",
     "capacity_slots",
+    "pairwise_distance",
 ]
 
 _INTERFERENCE_MODES = ("constant", "geometric")
@@ -158,6 +159,13 @@ class Scenario:
             raise ValueError("demand rows must each sum to 1")
 
 
+def pairwise_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between point sets: out[i, j] = |a[i] - b[j]|."""
+    dx = a[:, None, 0] - b[None, :, 0]
+    dy = a[:, None, 1] - b[None, :, 1]
+    return np.sqrt(dx * dx + dy * dy)
+
+
 def zipf_distribution(eta: float, num_contents: int) -> np.ndarray:
     """Zipf probability over content ranks 1..F with exponent eta."""
     if num_contents < 1:
@@ -183,9 +191,7 @@ def generate_scenario(params: SystemParams, seed: int) -> Scenario:
     user_pos = rng.uniform(0.0, side, size=(u, 2))
 
     # nearest F-AP; argmin takes the lowest index on ties
-    diff = user_pos[:, None, :] - fap_pos[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    local_fap = np.argmin(dist, axis=1).astype(np.int64)
+    local_fap = np.argmin(pairwise_distance(user_pos, fap_pos), axis=1).astype(np.int64)
 
     base = zipf_distribution(params.zipf_eta, f)
     k_shuffle = int(params.pref_shuffle * f)

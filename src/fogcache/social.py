@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .radio import LinkRateTable
-from .scenario import Scenario, all_local_popularity
+from .scenario import Scenario, all_local_popularity, pairwise_distance
 
 __all__ = [
     "SocialGraph",
@@ -36,7 +36,7 @@ class SocialGraph:
     built directly from a matrix.
     """
 
-    mutual: np.ndarray  # (M, M), symmetric, zero diagonal
+    mutual: np.ndarray  # (M, M), finite, symmetric, zero diagonal
     contact: Optional[np.ndarray] = None  # expected pair contacts
     similarity: Optional[np.ndarray] = None  # popularity correlation
     gain: Optional[np.ndarray] = None  # contact * similarity
@@ -52,6 +52,8 @@ class SocialGraph:
         mutual = np.asarray(mutual, dtype=float)
         if mutual.ndim != 2 or mutual.shape[0] != mutual.shape[1]:
             raise ValueError("mutual matrix must be square")
+        if not np.all(np.isfinite(mutual)):
+            raise ValueError("mutual matrix must be finite")
         if not np.allclose(mutual, mutual.T):
             raise ValueError("mutual matrix must be symmetric")
         if np.any(np.diagonal(mutual) != 0):
@@ -77,8 +79,7 @@ def build_social_graph(
     powers = params.fap_powers()
 
     # expected contacts between every pair of user groups
-    diff = scenario.user_pos[:, None, :] - scenario.user_pos[None, :, :]
-    dist_uu = np.sqrt(np.sum(diff * diff, axis=2))
+    dist_uu = pairwise_distance(scenario.user_pos, scenario.user_pos)
     meet = 1.0 - np.exp(-density * math.pi * dist_uu * dist_uu)
     membership = np.zeros((m_count, params.num_users))
     membership[scenario.local_fap, np.arange(params.num_users)] = 1.0
@@ -107,8 +108,7 @@ def build_social_graph(
     )
     np.fill_diagonal(loss, 0.0)
 
-    fap_diff = scenario.fap_pos[:, None, :] - scenario.fap_pos[None, :, :]
-    dist_ff = np.sqrt(np.sum(fap_diff * fap_diff, axis=2))
+    dist_ff = pairwise_distance(scenario.fap_pos, scenario.fap_pos)
     relation = np.where(
         dist_ff <= params.dist_threshold,
         np.exp(-dist_ff / params.dist_threshold) * (gain - params.social_delta * loss),
@@ -118,7 +118,7 @@ def build_social_graph(
 
     mutual = relation + relation.T
     np.fill_diagonal(mutual, 0.0)
-    return SocialGraph(
+    graph = SocialGraph(
         mutual=mutual,
         contact=contact,
         similarity=similarity,
@@ -126,3 +126,5 @@ def build_social_graph(
         loss=loss,
         relation=relation,
     )
+    graph.validate()
+    return graph

@@ -3,7 +3,7 @@
 import csv
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -202,6 +202,7 @@ BAD_EXPERIMENT = {
     "seeds-scalar": "seeds: 5",
     "sweep-values-scalar": "sweep_axis: capacity\n  sweep_values: 5",
     "sweep-values-null": "sweep_axis: capacity\n  sweep_values: [null]",
+    "sweep-value-bool": "sweep_axis: zipf_eta\n  sweep_values: [true]",
 }
 
 
@@ -218,6 +219,17 @@ def test_bad_experiment_section_is_a_config_error(body, tmp_path, capsys):
 
 def test_negative_seeds_stay_allowed():
     assert parse_config({"experiment": {"seeds": [-3, 2]}}).seeds == (-3, 2)
+
+
+def test_sweep_axes_name_system_fields():
+    """Every sweep axis but "none" is a SystemParams field that
+    _apply_axis sets; the benchmark's tracer relies on this."""
+    names = {f.name for f in fields(SystemParams)}
+    params = SystemParams()
+    for axis in experiment.SWEEP_AXES[1:]:
+        assert axis in names
+        assert getattr(params, axis) != 0.25
+        assert getattr(experiment._apply_axis(params, axis, 0.25), axis) == 0.25
 
 
 def test_spec_validation():
@@ -535,7 +547,7 @@ def test_cli_verify_reports_failed_check(monkeypatch, capsys):
     assert main(["verify", str(small)]) == 1
     captured = capsys.readouterr()
     assert "[FAIL] clustering" in captured.out
-    assert "1 of 6 checks failed" in captured.err
+    assert "1 of 4 checks failed" in captured.err
 
 
 def test_cli_verify_reports_infeasible_scheme(monkeypatch, capsys):
@@ -553,7 +565,27 @@ def test_cli_verify_reports_infeasible_scheme(monkeypatch, capsys):
     assert main(["verify", str(small)]) == 1
     captured = capsys.readouterr()
     assert "[FAIL] optimizer" in captured.out
+    assert "greedy_local produced an infeasible placement" in captured.out
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_verify_checks_the_configured_clustering(monkeypatch, tmp_path, capsys):
+    """A singletons config is verified on singletons: HCG never runs and
+    no clustering check is printed."""
+
+    def no_hcg(*args):
+        raise AssertionError("run_hcg called for a singletons config")
+
+    monkeypatch.setattr(experiment, "run_hcg", no_hcg)
+    small = next(p for p in CONFIGS if p.name == "small.yaml")
+    text = small.read_text()
+    assert "clustering: hcg" in text
+    path = tmp_path / "singletons.yaml"
+    path.write_text(text.replace("clustering: hcg", "clustering: singletons"))
+    assert main(["verify", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "] clustering" not in captured.out
+    assert "all 3 checks passed" in captured.out
 
 
 def test_cli_dump_social(config_file, tmp_path):

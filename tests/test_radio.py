@@ -265,3 +265,17 @@ def test_rate_table_validate_rejects_nonpositive_access():
     """build_rate_table validates its table, so no caller re-checks it."""
     with pytest.raises(ValueError, match="access rates must be positive"):
         make_rates(access=[[1.0e6, 0.0]], coop=[[0.0]])
+
+
+BAD_RATES = {
+    "fronthaul-zero": ([[1.0e6, 1.0e6], [1.0e6, 1.0e6]], [[0.0, 0.0], [5.0e6, 0.0]]),
+    "fronthaul-nan": ([[1.0e6, 1.0e6], [1.0e6, 1.0e6]], [[0.0, np.nan], [5.0e6, 0.0]]),
+    "access-nan": ([[1.0e6, np.nan], [1.0e6, 1.0e6]], [[0.0, 5.0e6], [5.0e6, 0.0]]),
+}
+
+
+@pytest.mark.parametrize("access, coop", BAD_RATES.values(), ids=list(BAD_RATES))
+def test_rate_table_validate_rejects_bad_rates(access, coop):
+    """Access rates and off-diagonal fronthaul rates must be > 0; NaN fails."""
+    with pytest.raises(ValueError, match="must be positive"):
+        make_rates(access=access, coop=coop)

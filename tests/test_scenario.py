@@ -25,6 +25,7 @@ from fogcache import (
     run_hcg,
     zipf_distribution,
 )
+from fogcache.scenario import pairwise_distance
 
 from conftest import local_popularity, make_params, make_scenario, users_of
 
@@ -174,6 +175,38 @@ def test_generated_local_fap_is_nearest(full_shape):
     _, scn = full_shape
     d2 = ((scn.user_pos[:, None, :] - scn.fap_pos[None, :, :]) ** 2).sum(axis=2)
     assert np.array_equal(scn.local_fap, d2.argmin(axis=1))
+
+
+def _distance_cases():
+    rng = np.random.default_rng(7)
+    cases = {}
+    for i in range(5):
+        a = rng.uniform(0.0, 1000.0, size=(6 + i, 2))
+        b = rng.uniform(0.0, 1000.0, size=(4 + 2 * i, 2))
+        b[:2] = a[-2:]  # shared points give exact zeros
+        cases[f"random-{i}"] = (a, b)
+    p = np.array([[123.456, 789.012]])
+    cases["colocated"] = (p, np.vstack([p, p]))
+    cases["one-point"] = (rng.uniform(0.0, 1.0, size=(1, 2)),
+                          rng.uniform(0.0, 1.0, size=(1, 2)))
+    cases["one-to-many"] = (rng.uniform(0.0, 1.0, size=(1, 2)),
+                            rng.uniform(0.0, 1.0, size=(9, 2)))
+    return cases
+
+
+DISTANCE_CASES = _distance_cases()
+
+
+@pytest.mark.parametrize("case", DISTANCE_CASES.values(), ids=list(DISTANCE_CASES))
+def test_pairwise_distance_matches_axis_sum_bit_for_bit(case):
+    """The two-term sum equals the former sum over an axis of length 2,
+    the form every distance in the pipeline used, to the last bit."""
+    a, b = case
+    diff = a[:, None, :] - b[None, :, :]
+    reference = np.sqrt(np.sum(diff * diff, axis=2))
+    got = pairwise_distance(a, b)
+    assert got.shape == (len(a), len(b))
+    assert np.array_equal(got.view(np.uint64), reference.view(np.uint64))
 
 
 def test_generation_is_deterministic(full_shape):

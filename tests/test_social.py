@@ -387,6 +387,13 @@ def test_from_mutual_validation():
         SocialGraph.from_mutual(np.array([[1.0, 1.0], [1.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan], ids=["inf", "nan"])
+def test_from_mutual_rejects_non_finite(bad):
+    """A non-finite matrix is reported as such, even when symmetric."""
+    with pytest.raises(ValueError, match="finite"):
+        SocialGraph.from_mutual(np.array([[0.0, bad], [bad, 0.0]]))
+
+
 def test_cluster_preference_is_additive():
     mutual = np.array(
         [
