@@ -141,6 +141,9 @@ def _cmd_run(args: argparse.Namespace, sweep: bool) -> int:
         axis = args.axis if args.axis is not None else spec.sweep_axis
         if args.values is not None:
             vals = tuple(float(v) for v in args.values.split(","))
+        elif axis != spec.sweep_axis:
+            print(f"sweep --axis {axis} requires --values", file=sys.stderr)
+            return 2
         else:
             vals = spec.sweep_values
         if axis == "none":

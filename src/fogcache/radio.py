@@ -26,13 +26,13 @@ class LinkRateTable:
 
     access[m, u] is the F-AP m to user u rate in bit/s; coop[m, n] the
     F-AP m to F-AP n rate, zero on the diagonal (no self link).  Every
-    other rate is positive; ``validate`` rejects zero and NaN.
+    other rate is positive; construction rejects zero and NaN.
     """
 
     access: np.ndarray  # (M, U)
     coop: np.ndarray  # (M, M)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.access.ndim != 2 or self.coop.ndim != 2:
             raise ValueError("rate tables must be 2-D")
         if self.coop.shape[0] != self.coop.shape[1]:
@@ -80,6 +80,4 @@ def build_rate_table(scenario: Scenario) -> LinkRateTable:
     access = params.bw_access * np.log2(1.0 + recv_au / (params.noise + i_au))
     coop = params.bw_coop * np.log2(1.0 + recv_ff / (params.noise + i_ff))
     np.fill_diagonal(coop, 0.0)
-    table = LinkRateTable(access=access, coop=coop)
-    table.validate()
-    return table
+    return LinkRateTable(access=access, coop=coop)

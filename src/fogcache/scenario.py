@@ -136,12 +136,11 @@ class Scenario:
     user_pos: np.ndarray  # (U, 2) meters
     local_fap: np.ndarray  # (U,) index of each user's nearest F-AP
     demand: np.ndarray  # (U, F) request probabilities, rows sum to 1
-    seed: int = 0
     # built on first use by local_demand_mass; a scenario is treated as
     # immutable once built, so the cached aggregate never goes stale
     _demand_mass: Optional[np.ndarray] = field(default=None, repr=False)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         p = self.params
         if self.fap_pos.shape != (p.num_faps, 2):
             raise ValueError("fap_pos shape mismatch")
@@ -203,16 +202,13 @@ def generate_scenario(params: SystemParams, seed: int) -> Scenario:
             ranking[pos] = ranking[pos][rng.permutation(k_shuffle)]
         # content at rank position r receives the r-th Zipf mass
         demand[i, ranking] = base
-    scenario = Scenario(
+    return Scenario(
         params=params,
         fap_pos=fap_pos,
         user_pos=user_pos,
         local_fap=local_fap,
         demand=demand,
-        seed=seed,
     )
-    scenario.validate()
-    return scenario
 
 
 def local_demand_mass(scenario: Scenario) -> np.ndarray:

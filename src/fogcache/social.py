@@ -47,9 +47,8 @@ class SocialGraph:
     def num_faps(self) -> int:
         return self.mutual.shape[0]
 
-    @classmethod
-    def from_mutual(cls, mutual: np.ndarray) -> "SocialGraph":
-        mutual = np.asarray(mutual, dtype=float)
+    def __post_init__(self):
+        mutual = self.mutual
         if mutual.ndim != 2 or mutual.shape[0] != mutual.shape[1]:
             raise ValueError("mutual matrix must be square")
         if not np.all(np.isfinite(mutual)):
@@ -58,10 +57,10 @@ class SocialGraph:
             raise ValueError("mutual matrix must be symmetric")
         if np.any(np.diagonal(mutual) != 0):
             raise ValueError("mutual matrix must have a zero diagonal")
-        return cls(mutual=mutual)
 
-    def validate(self) -> None:
-        SocialGraph.from_mutual(self.mutual)
+    @classmethod
+    def from_mutual(cls, mutual: np.ndarray) -> "SocialGraph":
+        return cls(mutual=np.asarray(mutual, dtype=float))
 
 
 def build_social_graph(
@@ -118,7 +117,7 @@ def build_social_graph(
 
     mutual = relation + relation.T
     np.fill_diagonal(mutual, 0.0)
-    graph = SocialGraph(
+    return SocialGraph(
         mutual=mutual,
         contact=contact,
         similarity=similarity,
@@ -126,5 +125,3 @@ def build_social_graph(
         loss=loss,
         relation=relation,
     )
-    graph.validate()
-    return graph

@@ -295,25 +295,20 @@ def make_scenario(params: SystemParams, fap_pos, user_pos, demand) -> Scenario:
     usr = np.asarray(user_pos, dtype=np.float64).reshape(params.num_users, 2)
     d2 = ((usr[:, None, :] - fap[None, :, :]) ** 2).sum(axis=2)
     local = d2.argmin(axis=1).astype(np.int64)
-    scn = Scenario(
+    return Scenario(
         params=params,
         fap_pos=fap,
         user_pos=usr,
         local_fap=local,
         demand=np.asarray(demand, dtype=np.float64),
-        seed=0,
     )
-    scn.validate()
-    return scn
 
 
 def make_rates(access, coop) -> LinkRateTable:
-    rates = LinkRateTable(
+    return LinkRateTable(
         access=np.asarray(access, dtype=np.float64),
         coop=np.asarray(coop, dtype=np.float64),
     )
-    rates.validate()
-    return rates
 
 
 @pytest.fixture

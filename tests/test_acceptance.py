@@ -3,7 +3,7 @@
 Each test verifies one release gate and prints a single [PASS]/[FAIL]
 line through the shared reporter; the lines are echoed again in the
 terminal summary so the verdicts are visible in one block.  The heavy
-scenario batches are session fixtures shared between gates.
+scenario batches are session fixtures; each full-scale cell runs once.
 """
 
 import hashlib
@@ -62,8 +62,18 @@ FULL_SEEDS = tuple(range(20))
 # lambda_rand=1.0 recombines bits without random flips, which is what
 # keeps the swarm moving at this scale (beta is tiny for 1000-bit rows);
 # the small instance needs the extra noise of lambda_rand=2.0.
-FULL_FA = dict(population=20, max_iters=60, lambda_rand=1.0)
-SMALL_FA = dict(population=20, max_iters=100, lambda_rand=2.0)
+FULL_FA = FaConfig(population=20, max_iters=60, lambda_rand=1.0)
+SMALL_FA = FaConfig(population=20, max_iters=100, lambda_rand=2.0)
+
+# The full-scale systems the gates read and the schemes each one runs.
+# 50 GB and delta = 1 are the defaults, so both trends read the base cells;
+# FULL comes last so that those cells keep the baselines of the dominance gate.
+CAPACITY_SYSTEMS = tuple(replace(FULL, capacity=gb * 8.0e9) for gb in CAPACITIES_GB)
+DELTA_SYSTEMS = tuple(replace(FULL, social_delta=d) for d in DELTAS)
+FULL_CELLS = {
+    **{system: ("improved_fa",) for system in CAPACITY_SYSTEMS + DELTA_SYSTEMS},
+    FULL: ("random", "greedy_local", "improved_fa"),
+}
 
 
 def report(gate: str, ok: bool, detail: str) -> None:
@@ -76,61 +86,46 @@ def report(gate: str, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="session")
 def oracle_batch():
     """100 seeds of the small instance: improved FA next to the oracle."""
-    spec = ExperimentSpec(
-        system=SMALL,
-        hcg=HcgConfig(),
-        fa=FaConfig(**SMALL_FA),
-        seeds=tuple(range(100)),
-        schemes=("improved_fa", "exhaustive"),
-        clustering="hcg",
-    )
+    spec = ExperimentSpec(system=SMALL, hcg=HcgConfig(), fa=SMALL_FA,
+                          seeds=tuple(range(100)), clustering="hcg",
+                          schemes=("improved_fa", "exhaustive"))
     t0 = time.perf_counter()
     rows, traces = run_experiment(spec)
     wall = time.perf_counter() - t0
     return rows, traces, wall
 
 
-@pytest.fixture(scope="session")
-def capacity_sweep():
-    spec = ExperimentSpec(
-        system=FULL,
-        hcg=HcgConfig(),
-        fa=FaConfig(**FULL_FA),
-        sweep_axis="capacity",
-        sweep_values=tuple(gb * 8.0e9 for gb in CAPACITIES_GB),
-        seeds=FULL_SEEDS,
-        schemes=("improved_fa",),
-        clustering="hcg",
-    )
-    return run_experiment(spec)
+def _key(system, seed):
+    return system, "hcg", FULL_FA, seed
 
 
 @pytest.fixture(scope="session")
-def delta_sweep():
-    spec = ExperimentSpec(
-        system=FULL,
-        hcg=HcgConfig(),
-        fa=FaConfig(**FULL_FA),
-        sweep_axis="social_delta",
-        sweep_values=DELTAS,
-        seeds=FULL_SEEDS,
-        schemes=("improved_fa",),
-        clustering="hcg",
-    )
-    return run_experiment(spec)
+def full_store():
+    """Each full-scale cell the gates read, run once: its key (system,
+    clustering, FA config, seed) maps to its rows by scheme and its FA
+    trace.  Run ids repeat across cells, so nothing is keyed by them."""
+    store, fa_runs, t0 = {}, 0, time.perf_counter()
+    for system, schemes in FULL_CELLS.items():
+        for seed in FULL_SEEDS:
+            rows, traces = run_experiment(ExperimentSpec(
+                system=system, hcg=HcgConfig(), fa=FULL_FA, seeds=(seed,),
+                schemes=schemes, clustering="hcg"))
+            store[_key(system, seed)] = ({r.scheme: r for r in rows}, traces)
+            fa_runs += sum(t.iteration == 0 for t in traces)
+    ACCEPTANCE_LINES.append(f"full-scale store: {len(store)} cells, {fa_runs} FA "
+                            f"runs, {time.perf_counter() - t0:.1f} s")
+    return store
 
 
-@pytest.fixture(scope="session")
-def dominance_runs():
-    spec = ExperimentSpec(
-        system=FULL,
-        hcg=HcgConfig(),
-        fa=FaConfig(**FULL_FA),
-        seeds=FULL_SEEDS,
-        schemes=("random", "greedy_local", "improved_fa"),
-        clustering="hcg",
-    )
-    return run_experiment(spec)
+def _fa_rows(store, systems):
+    """The FA row of each system's cells, system by system, then by seed."""
+    return [store[_key(system, seed)][0]["improved_fa"]
+            for system in systems for seed in FULL_SEEDS]
+
+
+def _base_rows(store):
+    """Every scheme's row of the base cells, seed by seed."""
+    return [row for seed in FULL_SEEDS for row in store[_key(FULL, seed)][0].values()]
 
 
 def test_small_instance_near_optimal(oracle_batch):
@@ -192,17 +187,13 @@ def test_coalition_stability():
     )
 
 
-def test_monotone_history(oracle_batch, capacity_sweep, delta_sweep, dominance_runs):
+def test_monotone_history(oracle_batch, full_store):
     """The incumbent never gets worse, in any optimizer run anywhere."""
-    batches = (oracle_batch[1], capacity_sweep[1], delta_sweep[1],
-               dominance_runs[1])
     runs = {}
-    # run ids repeat across batches (same seed, no sweep axis), so the
-    # batch index has to be part of the key
-    for b, traces in enumerate(batches):
-        for tr in traces:
-            runs.setdefault((b, tr.run_id), []).append(
-                (tr.iteration, tr.best_objective))
+    for tr in oracle_batch[1]:  # one spec, so its run ids are distinct
+        runs.setdefault(tr.run_id, []).append((tr.iteration, tr.best_objective))
+    for key, (_, traces) in full_store.items():  # one FA run per cell
+        runs[key] = [(tr.iteration, tr.best_objective) for tr in traces]
     assert runs, "no optimizer traces were recorded"
     ok = True
     for points in runs.values():
@@ -215,6 +206,17 @@ def test_monotone_history(oracle_batch, capacity_sweep, delta_sweep, dominance_r
         f"best-objective history is non-increasing in all {len(runs)} "
         "recorded optimizer runs",
     )
+
+
+def test_store_runs_each_cell_once(full_store):
+    """160 keys, one FA run each; both trends read the dominance FA rows."""
+    traces = [t for _, trace in full_store.values() for t in trace]
+    assert len(full_store) == sum(t.iteration == 0 for t in traces) == 160
+    base_fa = [r for r in _base_rows(full_store) if r.scheme == "improved_fa"]
+    for rows in (_fa_rows(full_store, CAPACITY_SYSTEMS),
+                 _fa_rows(full_store, DELTA_SYSTEMS)):
+        shared = [r for r in rows if (r.C_bits, r.delta) == (4.0e11, 1.0)]  # 50 GB
+        assert len(shared) == 20 and all(a is b for a, b in zip(shared, base_fa))
 
 
 def test_feasibility():
@@ -249,11 +251,10 @@ def test_feasibility():
     )
 
 
-def test_delay_falls_with_capacity(capacity_sweep):
+def test_delay_falls_with_capacity(full_store):
     """Mean FA delay is non-increasing in cache size (1% tolerance)."""
-    rows, _ = capacity_sweep
     by_cap = {}
-    for r in rows:
+    for r in _fa_rows(full_store, CAPACITY_SYSTEMS):
         by_cap.setdefault(r.C_bits, []).append(r.delay_seconds)
     caps = sorted(by_cap)
     assert caps == [gb * 8.0e9 for gb in CAPACITIES_GB]
@@ -266,9 +267,9 @@ def test_delay_falls_with_capacity(capacity_sweep):
     report("capacity trend", ok, f"mean delay over 20 seeds: {pretty}")
 
 
-def test_delay_rises_with_delta(delta_sweep):
+def test_delay_rises_with_delta(full_store):
     """Mean FA delay is non-decreasing in the loss weight (1% tolerance)."""
-    rows, _ = delta_sweep
+    rows = _fa_rows(full_store, DELTA_SYSTEMS)
     by_delta = {}
     for r in rows:
         by_delta.setdefault(r.delta, []).append(r.delay_seconds)
@@ -289,11 +290,10 @@ def test_delay_rises_with_delta(delta_sweep):
            f"FA objective across deltas")
 
 
-def test_beats_baselines(dominance_runs):
+def test_beats_baselines(full_store):
     """FA's mean objective is strictly below random and greedy caching."""
-    rows, _ = dominance_runs
     by_scheme = {}
-    for r in rows:
+    for r in _base_rows(full_store):
         by_scheme.setdefault(r.scheme, []).append(r.objective)
     means = {s: float(np.mean(v)) for s, v in by_scheme.items()}
     assert all(len(v) == len(FULL_SEEDS) for v in by_scheme.values())

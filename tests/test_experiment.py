@@ -502,6 +502,21 @@ def test_cli_sweep(config_file, tmp_path):
     assert {float(r["C_bits"]) for r in rows} == {4.0e9, 8.0e9}
 
 
+def test_cli_sweep_other_axis_needs_values(tmp_path, capsys):
+    """The configured sweep_values belong to the configured axis only."""
+    path = tmp_path / "sweep.yaml"
+    path.write_text(SMALL_YAML + "  sweep_axis: capacity\n"
+                    "  sweep_values: [4.0e+9, 8.0e+9]\n")
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", str(path), "-o", str(out), "--scheme", "random", "--axis"]
+    assert main(args + ["zipf_eta"]) == 2
+    assert "--axis zipf_eta requires --values" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + ["capacity"]) == 0
+    with open(out, newline="") as fh:
+        assert [float(r["C_bits"]) for r in csv.DictReader(fh)] == [4.0e9, 8.0e9]
+
+
 def test_cli_trace_output(config_file, tmp_path):
     out = tmp_path / "r.csv"
     trace = tmp_path / "t.csv"

@@ -262,7 +262,7 @@ def test_rate_table_positive(small_instance):
 
 
 def test_rate_table_validate_rejects_nonpositive_access():
-    """build_rate_table validates its table, so no caller re-checks it."""
+    """LinkRateTable checks itself when built, so no caller re-checks it."""
     with pytest.raises(ValueError, match="access rates must be positive"):
         make_rates(access=[[1.0e6, 0.0]], coop=[[0.0]])
 
