@@ -45,9 +45,7 @@ from .radio import LinkRateTable, build_rate_table
 from .scenario import (
     Scenario,
     SystemParams,
-    all_local_popularity,
     generate_scenario,
-    local_demand_mass,
     zipf_distribution,
 )
 from .social import (
@@ -94,9 +92,7 @@ __all__ = [
     "build_rate_table",
     "Scenario",
     "SystemParams",
-    "all_local_popularity",
     "generate_scenario",
-    "local_demand_mass",
     "zipf_distribution",
     "SocialGraph",
     "build_social_graph",

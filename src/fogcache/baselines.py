@@ -14,7 +14,7 @@ import numpy as np
 from ._kernels import rng_for
 from .cache import EvalResult, Partition, PlacementEvaluator, new_placement
 from .radio import LinkRateTable
-from .scenario import Scenario, all_local_popularity, capacity_slots
+from .scenario import Scenario, capacity_slots
 
 __all__ = [
     "SCHEMES",
@@ -58,10 +58,8 @@ def greedy_local(scenario: Scenario) -> np.ndarray:
     slots = capacity_slots(params)
     x = new_placement(params)
     if slots:
-        pop = all_local_popularity(scenario)
-        order = np.argsort(-pop, axis=1, kind="stable")
-        for m in range(params.num_faps):
-            x[m, order[m, :slots]] = 1
+        order = np.argsort(-scenario.popularity, axis=1, kind="stable")
+        np.put_along_axis(x, order[:, :slots], 1, axis=1)
     return x
 
 

@@ -23,7 +23,7 @@ from typing import Iterable, List, Sequence, Tuple
 import numpy as np
 
 from .radio import LinkRateTable
-from .scenario import Scenario, SystemParams, capacity_slots, local_demand_mass
+from .scenario import Scenario, SystemParams, capacity_slots
 
 __all__ = [
     "Partition",
@@ -169,7 +169,7 @@ class PlacementEvaluator:
         self.scenario = scenario
         self.rates = rates
         self.partition = partition
-        self.mass = local_demand_mass(scenario)
+        self.mass = scenario.demand_mass
         powers = params.fap_powers()
         size = params.content_size
 

@@ -37,6 +37,13 @@ from .social import build_social_graph
 
 __all__ = ["main", "build_parser"]
 
+# the override flag that sets the field each sweep axis varies
+_AXIS_FLAGS = {
+    "capacity": "--capacity-gb",
+    "zipf_eta": "--eta",
+    "social_delta": "--delta",
+}
+
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("config", help="YAML experiment configuration")
@@ -139,6 +146,11 @@ def _cmd_run(args: argparse.Namespace, sweep: bool) -> int:
     spec = _apply_overrides(load_config(args.config), args)
     if sweep:
         axis = args.axis if args.axis is not None else spec.sweep_axis
+        flag = _AXIS_FLAGS.get(axis)
+        if flag is not None and getattr(args, flag[2:].replace("-", "_")) is not None:
+            print(f"sweep over {axis} cannot take {flag}: the sweep sets {axis}",
+                  file=sys.stderr)
+            return 2
         if args.values is not None:
             vals = tuple(float(v) for v in args.values.split(","))
         elif axis != spec.sweep_axis:

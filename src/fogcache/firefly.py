@@ -28,7 +28,7 @@ import numpy as np
 from ._kernels import derive_key, fold_keys, get_backend, rng_for
 from .cache import EvalResult, Partition, PlacementEvaluator, feasible
 from .radio import LinkRateTable
-from .scenario import Scenario, all_local_popularity, capacity_slots, require_int
+from .scenario import Scenario, capacity_slots, require_int
 
 __all__ = [
     "FaConfig",
@@ -90,13 +90,13 @@ def brightness_normalize(objectives: np.ndarray) -> np.ndarray:
 
 def _initial_swarm(
     scenario: Scenario,
-    pop_rows: np.ndarray,
     slots: int,
     count: int,
     seed: int,
 ) -> List[np.ndarray]:
     """Seed fireflies with popularity-weighted feasible placements."""
     params = scenario.params
+    pop_rows = scenario.popularity
     rng = rng_for(seed, _STREAM_INIT)
     uniform = np.full(params.num_contents, 1.0 / params.num_contents)
     swarm = []
@@ -126,14 +126,13 @@ def run_fa(
     be = get_backend()
     evaluator = PlacementEvaluator(scenario, rates, partition)
     slots = capacity_slots(params)
-    pop_rows = all_local_popularity(scenario)
     # repair priority: most locally popular first, index breaks ties; the
     # repair takes it as flat indices into a placement
-    prio = np.argsort(-pop_rows, axis=1, kind="stable").astype(np.int64)
+    prio = np.argsort(-scenario.popularity, axis=1, kind="stable").astype(np.int64)
     prio += np.arange(0, prio.size, params.num_contents)[:, None]
 
     swarm = np.stack(
-        _initial_swarm(scenario, pop_rows, slots, config.population, config.seed)
+        _initial_swarm(scenario, slots, config.population, config.seed)
     )
     for x in swarm:
         be.repair(x, prio, slots)

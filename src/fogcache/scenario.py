@@ -3,7 +3,8 @@
 A scenario is a frozen random instance of the network: F-AP and user
 positions on a square area, each user's nearest (local) F-AP, and a
 per-user content request distribution built from a global Zipf ranking
-with partially shuffled per-user rank orders.
+with partially shuffled per-user rank orders.  Construction also builds
+the per-F-AP demand aggregates that every later layer reads.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -22,8 +23,6 @@ __all__ = [
     "Scenario",
     "zipf_distribution",
     "generate_scenario",
-    "all_local_popularity",
-    "local_demand_mass",
     "capacity_slots",
     "pairwise_distance",
 ]
@@ -74,7 +73,6 @@ class SystemParams:
     weight: float = 0.01  # objective mix, 1 = pure delay
     zipf_eta: float = 0.5
     side_length: float = 1000.0  # m
-    user_density: Optional[float] = None  # users per m^2; default U / side^2
     social_delta: float = 1.0  # loss weight in the relationship score
     dist_threshold: float = 500.0  # m, relationship cutoff
     interference_mode: str = "constant"
@@ -100,8 +98,6 @@ class SystemParams:
             raise ValueError(f"interference_mode must be one of {_INTERFERENCE_MODES}")
         if self.intra_cluster_hop not in _INTRA_HOP_MODES:
             raise ValueError(f"intra_cluster_hop must be one of {_INTRA_HOP_MODES}")
-        if self.user_density is not None and not 0 < self.user_density < math.inf:
-            raise ValueError("user_density must be positive and finite when given")
         powers = self.fap_powers()
         finite_positive = np.isfinite(powers) & (powers > 0)
         if powers.shape != (self.num_faps,) or not finite_positive.all():
@@ -117,8 +113,7 @@ class SystemParams:
 
     @property
     def effective_user_density(self) -> float:
-        if self.user_density is not None:
-            return self.user_density
+        """Users per square meter."""
         return self.num_users / (self.side_length * self.side_length)
 
 
@@ -129,16 +124,23 @@ def capacity_slots(params: SystemParams) -> int:
 
 @dataclass(eq=False)
 class Scenario:
-    """One sampled network instance."""
+    """One sampled network instance.
+
+    ``demand_mass`` and ``popularity`` are derived from ``local_fap`` and
+    ``demand`` on construction and are read-only;
+    ``dataclasses.replace`` constructs anew, so they always match the
+    demand they sit next to.
+    """
 
     params: SystemParams
     fap_pos: np.ndarray  # (M, 2) meters
     user_pos: np.ndarray  # (U, 2) meters
     local_fap: np.ndarray  # (U,) index of each user's nearest F-AP
     demand: np.ndarray  # (U, F) request probabilities, rows sum to 1
-    # built on first use by local_demand_mass; a scenario is treated as
-    # immutable once built, so the cached aggregate never goes stale
-    _demand_mass: Optional[np.ndarray] = field(default=None, repr=False)
+    # (M, F) sum of request probabilities over each F-AP's local users
+    demand_mass: np.ndarray = field(init=False, repr=False)
+    # (M, F) rows of demand_mass normalized; zero rows for F-APs without users
+    popularity: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.params
@@ -156,6 +158,18 @@ class Scenario:
             raise ValueError("demand must be non-negative")
         if not np.allclose(self.demand.sum(axis=1), 1.0, rtol=0, atol=1e-9):
             raise ValueError("demand rows must each sum to 1")
+        # rows added in user order, the order np.add.at adds in, so every
+        # element is bit-identical to that aggregation
+        mass = np.zeros((p.num_faps, p.num_contents))
+        for u, m in enumerate(self.local_fap.tolist()):
+            mass[m] += self.demand[u]
+        sums = mass.sum(axis=1, keepdims=True)
+        pop = np.zeros_like(mass)
+        np.divide(mass, sums, out=pop, where=sums > 0)
+        mass.flags.writeable = False
+        pop.flags.writeable = False
+        self.demand_mass = mass
+        self.popularity = pop
 
 
 def pairwise_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -209,30 +223,3 @@ def generate_scenario(params: SystemParams, seed: int) -> Scenario:
         local_fap=local_fap,
         demand=demand,
     )
-
-
-def local_demand_mass(scenario: Scenario) -> np.ndarray:
-    """Unnormalized per-F-AP demand: w[m, f] = sum of p_{u,f} over local users.
-
-    Built once per scenario and shared by every caller (the evaluator,
-    local popularity, the social graph), so the array is read-only.
-    Rows are added in user order, the order ``np.add.at`` adds in, so
-    every element is bit-identical to that aggregation.
-    """
-    if scenario._demand_mass is None:
-        p = scenario.params
-        mass = np.zeros((p.num_faps, p.num_contents))
-        for u, m in enumerate(scenario.local_fap.tolist()):
-            mass[m] += scenario.demand[u]
-        mass.flags.writeable = False
-        object.__setattr__(scenario, "_demand_mass", mass)
-    return scenario._demand_mass
-
-
-def all_local_popularity(scenario: Scenario) -> np.ndarray:
-    """Stacked local popularity, shape (M, F); zero rows for empty F-APs."""
-    mass = local_demand_mass(scenario)
-    sums = mass.sum(axis=1, keepdims=True)
-    out = np.zeros_like(mass)
-    np.divide(mass, sums, out=out, where=sums > 0)
-    return out

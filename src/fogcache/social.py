@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .radio import LinkRateTable
-from .scenario import Scenario, all_local_popularity, pairwise_distance
+from .scenario import Scenario, pairwise_distance
 
 __all__ = [
     "SocialGraph",
@@ -85,7 +85,7 @@ def build_social_graph(
     contact = membership @ meet @ membership.T
 
     # popularity correlation; degenerate rows contribute zero
-    pop = all_local_popularity(scenario)
+    pop = scenario.popularity
     centered = pop - pop.mean(axis=1, keepdims=True)
     cov = (centered @ centered.T) / params.num_contents
     std = np.sqrt(np.diagonal(cov))

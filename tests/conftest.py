@@ -97,7 +97,7 @@ def local_popularity(scenario: Scenario, m: int) -> np.ndarray:
     """Normalized content popularity among the users local to F-AP m.
 
     Sums the demand rows of m's users directly; the reference for
-    :func:`fogcache.all_local_popularity`.  An F-AP with no local users
+    :attr:`fogcache.Scenario.popularity`.  An F-AP with no local users
     gets the all-zero vector.
     """
     users = users_of(scenario, m)
@@ -340,7 +340,7 @@ def social_toy():
     The demand rows are chosen so the popularity similarity is exactly
     -13/14, and the geometry sits inside the 500 m relationship cutoff.
     """
-    params = make_params(num_contents=3, user_density=None)
+    params = make_params(num_contents=3)
     scn = make_scenario(
         params,
         fap_pos=[[0.0, 0.0], [300.0, 0.0]],

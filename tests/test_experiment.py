@@ -32,7 +32,7 @@ from fogcache.cli import main
 from fogcache.config import parse_config
 from fogcache.experiment import ResultRow
 
-from conftest import is_individually_stable, request_totals
+from conftest import is_individually_stable, request_totals, subprocess_env
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.yaml"))
 
@@ -135,6 +135,9 @@ def test_parse_config_rejects_unknown_keys():
         parse_config({"system": {"num_fapz": 3}})
     with pytest.raises(ValueError, match="unknown key"):
         parse_config({"experiment": {"sweep": "capacity"}})
+    # the user density follows from num_users and side_length
+    with pytest.raises(ValueError, match="unknown key"):
+        parse_config({"system": {"user_density": 1e-4}})
     # the kernels have one implementation, so there is nothing to select
     with pytest.raises(ValueError, match="unknown key"):
         parse_config({"fa": {"backend": "numpy"}})
@@ -517,6 +520,27 @@ def test_cli_sweep_other_axis_needs_values(tmp_path, capsys):
         assert [float(r["C_bits"]) for r in csv.DictReader(fh)] == [4.0e9, 8.0e9]
 
 
+@pytest.mark.parametrize("axis, values, flag", [
+    ("capacity", "4e9,8e9", ["--capacity-gb", "10"]),
+    ("zipf_eta", "0.5,1.0", ["--eta", "0.9"]),
+    ("social_delta", "0.5,1.0", ["--delta", "2"]),
+], ids=["capacity", "zipf_eta", "social_delta"])
+def test_cli_sweep_rejects_flag_for_swept_field(tmp_path, capsys, axis, values, flag):
+    """Every cell sets the swept field, so a flag for it would be ignored."""
+    path = tmp_path / "sweep.yaml"
+    path.write_text(SMALL_YAML)
+    out = tmp_path / "sweep.csv"
+    args = ["sweep", str(path), "-o", str(out), "--scheme", "random",
+            "--axis", axis, "--values", values]
+    assert main(args + flag) == 2
+    assert f"cannot take {flag[0]}" in capsys.readouterr().err
+    assert not out.exists()
+    # a flag for a field the sweep leaves alone still applies
+    assert main(args + ["--mu", "0.5"]) == 0
+    with open(out, newline="") as fh:
+        assert [float(r["mu"]) for r in csv.DictReader(fh)] == [0.5, 0.5]
+
+
 def test_cli_trace_output(config_file, tmp_path):
     out = tmp_path / "r.csv"
     trace = tmp_path / "t.csv"
@@ -660,6 +684,7 @@ def test_console_entry_point(config_file, tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=subprocess_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert out.exists()

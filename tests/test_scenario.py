@@ -1,4 +1,4 @@
-"""Scenario generation: demand model, geometry, and local popularity."""
+"""Scenario generation: demand model, geometry, and the demand aggregates."""
 
 import dataclasses
 import math
@@ -12,7 +12,6 @@ from fogcache import (
     Partition,
     PlacementEvaluator,
     SystemParams,
-    all_local_popularity,
     build_rate_table,
     build_social_graph,
     capacity_slots,
@@ -20,7 +19,6 @@ from fogcache import (
     feasible,
     generate_scenario,
     load_config,
-    local_demand_mass,
     run_fa,
     run_hcg,
     zipf_distribution,
@@ -137,7 +135,6 @@ def test_degenerate_flag():
 def test_effective_user_density_default_and_override():
     p = make_params()
     assert p.effective_user_density == pytest.approx(2.0 / 1000.0**2, rel=1e-15)
-    assert make_params(user_density=3e-4).effective_user_density == 3e-4
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +314,7 @@ def test_local_popularity_three_user_average():
 
 def test_local_demand_mass_totals(full_shape):
     _, scn = full_shape
-    mass = local_demand_mass(scn)
+    mass = scn.demand_mass
     assert mass.shape == (15, 1000)
     # each user contributes one unit of probability mass to its F-AP
     counts = np.bincount(scn.local_fap, minlength=15)
@@ -326,7 +323,7 @@ def test_local_demand_mass_totals(full_shape):
 
 def test_all_local_popularity_rows(full_shape):
     _, scn = full_shape
-    pop = all_local_popularity(scn)
+    pop = scn.popularity
     sums = pop.sum(axis=1)
     counts = np.bincount(scn.local_fap, minlength=15)
     for m in range(15):
@@ -337,7 +334,7 @@ def test_all_local_popularity_rows(full_shape):
 
 
 # ---------------------------------------------------------------------------
-# shared demand mass
+# demand aggregates built on construction
 
 
 def _mass_cases():
@@ -368,26 +365,41 @@ MASS_CASES = dict(_mass_cases())
 @pytest.mark.parametrize("case", list(MASS_CASES))
 def test_local_demand_mass_matches_add_at(case):
     scn = MASS_CASES[case]()
-    assert local_demand_mass(scn).tobytes() == reference_demand_mass(scn).tobytes()
+    assert scn.demand_mass.tobytes() == reference_demand_mass(scn).tobytes()
 
 
 def test_local_demand_mass_built_once_and_shared(full_shape):
     _, scn = full_shape
-    mass = local_demand_mass(scn)
-    assert local_demand_mass(scn) is mass
     rates = build_rate_table(scn)
     evaluator = PlacementEvaluator(scn, rates, Partition.singletons(15))
-    assert evaluator.mass is mass
+    assert evaluator.mass is scn.demand_mass
 
 
 def test_local_demand_mass_is_read_only(full_shape):
     _, scn = full_shape
-    mass = local_demand_mass(scn)
-    with pytest.raises(ValueError):
-        mass[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        mass += 1.0
-    assert local_demand_mass(scn).tobytes() == reference_demand_mass(scn).tobytes()
+    for name, reference in (
+        ("demand_mass", reference_demand_mass(scn)),
+        ("popularity", scn.popularity.copy()),
+    ):
+        arr = getattr(scn, name)
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            arr += 1.0
+        assert getattr(scn, name).tobytes() == reference.tobytes()
+
+
+def test_replaced_demand_rebuilds_the_aggregates(full_shape):
+    params, scn = full_shape
+    uniform = np.full_like(scn.demand, 1.0 / params.num_contents)
+    other = dataclasses.replace(scn, demand=uniform)
+    assert other.demand_mass.tobytes() == reference_demand_mass(other).tobytes()
+    counts = np.bincount(scn.local_fap, minlength=params.num_faps)
+    for m in range(params.num_faps):
+        expected = 1.0 / params.num_contents if counts[m] else 0.0
+        np.testing.assert_allclose(other.popularity[m], expected, rtol=1e-12)
+    # the source scenario keeps its own
+    assert scn.demand_mass.tobytes() == reference_demand_mass(scn).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +432,8 @@ def test_colocated_tie_goes_to_lower_index(colocated):
     assert scn.local_fap.tolist() == [0, 0, 0, 2]
     assert users_of(scn, 1).size == 0
     # the shadowed F-AP aggregates nothing and has no popularity
-    assert not local_demand_mass(scn)[1].any()
-    assert not all_local_popularity(scn)[1].any()
+    assert not scn.demand_mass[1].any()
+    assert not scn.popularity[1].any()
 
 
 def test_colocated_pipeline_is_finite_and_feasible(colocated):
