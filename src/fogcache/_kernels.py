@@ -15,16 +15,19 @@ draws of a whole firefly move in one batch.
 
 The move rule sets a bit to 1 iff ``c + lam*(u - 1/2) - 1/2 >= 0``,
 where ``c = xj + beta*(xi - xj)`` and ``u = k * 2**-53`` for the 53-bit
-draw k.  Every float operation of the rule rounds monotonically and
-lam >= 0, so for a fixed c the rule holds exactly for the k from some
-threshold on.  Where the sparse move knows c, it compares the raw
-integer draws with that threshold (:func:`_threshold`) and forms no
-float per bit.  The former float pipeline is the reference in
-``tests/test_kernels.py``.
+draw k.  Every float operation of the rule rounds monotonically in c
+and in k (lam >= 0), and the row length alone picks how the move uses
+that.  A row that fits one machine word decides every element in one
+batch at the two ends of the range of beta and runs the steps on
+packed bits; a longer row compares the raw integer draws of each step
+with the exact threshold of each c (:func:`_threshold`) and forms no
+float per bit.  lam selects no code.  The float rule over whole rows
+is the reference in ``tests/test_kernels.py``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -173,6 +176,88 @@ def _threshold(c: float, lam: float) -> int:
     return lo
 
 
+# a row of at most this many entries packs into the 63 value bits of one
+# int64, so the whole move of a short row runs on Python ints
+_PACKED_MOVE_MAX = 63
+
+
+@functools.lru_cache(maxsize=16)
+def _packed_constants(n: int, gamma: float) -> tuple:
+    """Constants of the packed move of n-entry rows, for one gamma.
+
+    The counters ``(e + 1) * golden`` of :func:`uniform_at`; the weight
+    ``2**e`` of element e's bit, and e itself; and the factors ``s`` and
+    offsets ``o`` with which ``pull * s + o`` gives, per step, the six c
+    of :func:`_move_packed`.  Their betas take the least and the largest
+    ``exp(-gamma * r)`` over every Hamming distance r in [0, n].
+    """
+    e = np.arange(n)
+    ctr = (e + 1).astype(np.uint64) * _GOLDEN_U64
+    weight = np.left_shift(1, e)
+    spread = [math.exp(-gamma * r) for r in range(n + 1)]
+    low, high = min(spread), max(spread)
+    # 1 + (-b) is 1 - b, rounded alike
+    s = np.array([0.0, 0.0, low, high, -low, -high])
+    o = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 1.0])
+    for a in (ctr, weight, e, s, o):
+        a.flags.writeable = False
+    return ctr, weight, e, s, o
+
+
+def _move_packed(
+    swarm: np.ndarray,
+    j: int,
+    peers: np.ndarray,
+    pull: np.ndarray,
+    gamma: float,
+    lam: float,
+    keys: np.ndarray,
+) -> None:
+    """:func:`_move_np` on rows of at most ``_PACKED_MOVE_MAX`` entries.
+
+    One batch draws every (step, element) and decides each element's
+    outcome at six values of c: 0 and 1 (an element equal to its peer's),
+    and beta and 1 - beta (a 0 and a 1 that differ from it) at both ends
+    of the range of beta a step can have.  The steps then run on rows
+    packed into Python ints.  The rule rounds monotonically in c, so a
+    differing element whose two outcomes agree is decided; only the
+    others are decided again, in plain floats, with the step's exact
+    beta.
+    """
+    ctr, weight, shift, s, o = _packed_constants(swarm.shape[1], float(gamma))
+    z = np.asarray(keys, dtype=np.uint64)[:, None] + ctr
+    _mix64_arr(z)
+    z >>= np.uint64(11)
+    noise = z.astype(np.float64)
+    noise *= _INV53
+    noise -= 0.5
+    noise *= lam
+    arg = (pull[:, None] * s + o)[:, :, None] + noise[:, None, :]
+    arg -= 0.5
+    wins = ((arg >= 0.0) @ weight).tolist()
+    rows = (swarm @ weight).tolist()
+    x = rows[j]
+    for t, (i, p, (a0, a1, d0, d0_end, d1, d1_end)) in enumerate(
+        zip(peers.tolist(), pull.tolist(), wins)
+    ):
+        d = x ^ rows[i]
+        rise = d & ~x  # a 0 whose peer holds a 1
+        fall = d & x
+        y = (x & ~d & a1) | (~(x | d) & a0)
+        y |= (rise & d0 & d0_end) | (fall & d1 & d1_end)
+        open_ = (rise & (d0 ^ d0_end)) | (fall & (d1 ^ d1_end))
+        if open_:
+            beta = p * math.exp(-gamma * d.bit_count())
+            while open_:
+                bit = open_ & -open_
+                open_ ^= bit
+                c = 1.0 - beta if x & bit else beta
+                if (c + noise.item(t, bit.bit_length() - 1)) - 0.5 >= 0.0:
+                    y |= bit
+        x = y
+    swarm[j] = (x >> shift) & 1
+
+
 def _move_np(
     swarm: np.ndarray,
     j: int,
@@ -188,34 +273,37 @@ def _move_np(
     ``beta = pull[t] * exp(-gamma * r)``, r the Hamming distance at that
     moment, and sets each element e to 1 iff
     xj + beta*(xi - xj) + lam*(u - 1/2) - 1/2 >= 0, with u drawn by
-    ``uniform_at(keys[t], e)``.  For lam <= 1 an element with xj == xi
-    can never flip, so only the differing positions are drawn, step by
-    step, and their raw 53-bit draws are compared with the thresholds
-    of :func:`_threshold` for c = beta (a 0) and c = 1 - beta (a 1).
-    For lam > 1 all steps draw up front in one batch and run the float
-    rule.
+    ``uniform_at(keys[t], e)``.  The row length picks the formulation.
+    A row of at most ``_PACKED_MOVE_MAX`` entries runs on packed bits
+    (:func:`_move_packed`).  A longer row draws step by step and
+    compares the raw 53-bit draws with the thresholds of
+    :func:`_threshold`: c = beta for a 0 and c = 1 - beta for a 1 that
+    differ from the peer, c = 0 and c = 1 for the elements that agree.
+    Where those last two thresholds let no agreeing element move, as for
+    every lam <= 1, only the differing positions draw.
     """
     if swarm.dtype != np.uint8:
         raise ValueError("move needs a uint8 swarm")
-    x = swarm[j]
-    if lam > 1.0:
-        noise = lam * (uniform_at(keys[:, None], np.arange(x.size)) - 0.5)
-        a = x.astype(np.float64)
-        for b, n, p in zip(swarm[peers].astype(np.float64), noise, pull.tolist()):
-            d = b - a
-            beta = p * math.exp(-gamma * np.count_nonzero(d))
-            arg = a + beta * d
-            arg += n
-            arg -= 0.5
-            a = (arg >= 0.0).astype(np.float64)
-        x[:] = a
+    if swarm.shape[1] <= _PACKED_MOVE_MAX:
+        _move_packed(swarm, j, peers, pull, gamma, lam, keys)
         return
+    x = swarm[j]
     xb = x.view(np.bool_)  # a binary row; the bool view skips a cast
+    # thresholds of a 0 and a 1 equal to the peer's; for lam <= 1 no draw
+    # moves either, and only the differing elements draw
+    same0, same1 = _threshold(0.0, lam), _threshold(1.0, lam)
+    every = same0 < _NEVER or same1 > 0
     for i, p, key in zip(peers.tolist(), pull.tolist(), keys.tolist()):
-        idx = np.flatnonzero(x != swarm[i])
-        if idx.size == 0:
-            continue
-        beta = p * math.exp(-gamma * idx.size)
+        b = swarm[i]
+        if every:
+            idx = np.arange(x.size)
+            r = int(np.count_nonzero(x != b))
+        else:
+            idx = np.flatnonzero(x != b)
+            r = idx.size
+            if r == 0:
+                continue
+        beta = p * math.exp(-gamma * r)
         k0 = _threshold(beta, lam)
         k1 = _threshold(1.0 - beta, lam)
         # the 53-bit draws of uniform_at: mix64(key + (e + 1) * golden) >> 11
@@ -223,9 +311,13 @@ def _move_np(
         z += np.uint64((key + _GOLDEN) & _MASK64)
         _mix64_arr(z)
         z >>= np.uint64(11)
+        z = z.view(np.int64)
+        if every:
+            # threshold of each element by its own bit and its peer's
+            xb[:] = z >= np.array([same0, k0, k1, same1])[(x << 1) | b]
+            continue
         # an element becomes z >= k1 where it is 1 and z >= k0 where it
         # is 0: shift the draws of the 1s by k0 - k1, compare with k0
-        z = z.view(np.int64)
         z += xb[idx] * np.int64(k0 - k1)
         xb[idx] = z >= k0
 

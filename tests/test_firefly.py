@@ -15,7 +15,7 @@ from fogcache import (
     feasible,
     run_fa,
 )
-from fogcache._kernels import derive_key, get_backend
+from fogcache._kernels import _PACKED_MOVE_MAX, derive_key, get_backend
 
 from conftest import flat_order, make_params, make_rates, make_scenario, scalar_pull
 
@@ -96,15 +96,22 @@ def pull_once(xj, xi, beta, lam, key=7):
     """Move firefly 0 toward firefly 1 with attraction ``beta``.
 
     The kernel's result is checked against :func:`conftest.scalar_pull`
-    and returned.
+    and returned.  The same rows padded with shared zeros past the packed
+    move's cutoff take the other formulation, and must agree.
     """
-    swarm = np.stack([xj, xi]).astype(np.uint8)
     keys = np.array([key], dtype=np.uint64)
-    get_backend().move(swarm, 0, np.array([1]), np.array([beta]), 0.0, lam, keys)
-    assert np.array_equal(swarm[1], xi)
-    expected = scalar_pull(xj, xi, beta, lam, key)
-    assert np.array_equal(swarm[0], expected)
-    return swarm[0]
+    out = []
+    for width in (xj.size, max(xj.size, _PACKED_MOVE_MAX + 1)):
+        swarm = np.zeros((2, width), dtype=np.uint8)
+        swarm[:, : xj.size] = [xj, xi]
+        start = swarm.copy()
+        get_backend().move(swarm, 0, np.array([1]), np.array([beta]), 0.0, lam, keys)
+        assert np.array_equal(swarm[1], start[1])
+        expected = scalar_pull(start[0], start[1], beta, lam, key)
+        assert np.array_equal(swarm[0], expected)
+        out.append(swarm[0, : xj.size])
+    assert np.array_equal(out[0], out[1])
+    return out[0]
 
 
 def test_move_keeps_shared_ones_without_noise():

@@ -2,14 +2,16 @@
 
 The RNG vectors are checked against the published splitmix64 reference
 sequence for seed 0, and the move kernel against its element-by-element
-definition.  The integer thresholds of the move are checked against the
-float rule, and both kernels against their former float pipelines on
+definition on rows on both sides of the length that picks its
+formulation.  The integer thresholds of the move are checked against
+the float rule, and both kernels against their float pipelines on
 full-scale swarms.  The repair kernel and the evaluator's surcharge
 tables are also checked against their scalar references in
 test_firefly.py and test_cache.py.
 """
 
 import dataclasses
+import itertools
 import math
 import warnings
 from pathlib import Path
@@ -17,8 +19,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fogcache import build_rate_table, build_social_graph, firefly, generate_scenario, run_hcg
+from fogcache import (
+    build_rate_table,
+    build_social_graph,
+    experiment,
+    firefly,
+    generate_scenario,
+    run_hcg,
+)
 from fogcache._kernels import (
+    _PACKED_MOVE_MAX,
     _SPARSE_REPAIR_MIN,
     _threshold,
     derive_key,
@@ -146,9 +156,29 @@ def test_get_backend_numpy_always_available():
 # the numpy move against its element-by-element definition
 
 
+# row lengths on both sides of the packed move's cutoff, and at it
+MOVE_WIDTHS = (40, 63, 64, 100)
+
+
+def test_move_cutoff_lies_between_the_benchmark_shapes():
+    """The small config and the verify cell take the packed move, and
+    full scale the threshold steps, so each formulation has a workload
+    and the tests check both at the edge."""
+    assert MOVE_WIDTHS[1] == _PACKED_MOVE_MAX < MOVE_WIDTHS[2]
+    small = load_config(str(CONFIGS / "small.yaml")).system
+    full = load_config(str(CONFIGS / "full_scale.yaml")).system
+    verify = experiment._scaled_down(full)
+    for params in (small, verify):
+        assert params.num_faps * params.num_contents <= _PACKED_MOVE_MAX
+    assert 4 * 8 <= _PACKED_MOVE_MAX < full.num_faps * full.num_contents == 15000
+
+
 def _move_case(rng, trial, n=40, population=7):
+    """A swarm whose first peer is a copy of row 0: at lam > 1 even that
+    step draws every element."""
     swarm = rng.integers(0, 2, size=(population, n)).astype(np.uint8)
     peers = np.sort(rng.choice(np.arange(1, population), size=4, replace=False))
+    swarm[peers[0]] = swarm[0]
     pull = rng.random(peers.size)
     keys = fold_keys(derive_key(9, trial), peers)
     return swarm, peers, pull, keys
@@ -159,8 +189,9 @@ def _move_case(rng, trial, n=40, population=7):
 def test_move_matches_scalar_rule(lam):
     rng = np.random.default_rng(5)
     be = get_backend()
-    for trial in range(20):
-        swarm, peers, pull, keys = _move_case(rng, trial)
+    for trial in range(20 * len(MOVE_WIDTHS)):
+        n = MOVE_WIDTHS[trial % len(MOVE_WIDTHS)]
+        swarm, peers, pull, keys = _move_case(rng, trial, n)
         gamma = float(rng.choice([0.0, 0.01, 0.2]))
         expected = swarm[0].copy()
         for t, i in enumerate(peers):
@@ -222,12 +253,15 @@ def test_threshold_is_exact(beta, lam):
 
 
 def test_move_rejects_a_non_byte_swarm():
-    """The sparse move reads rows through a bool view, which only a
-    one-byte swarm has: it raises instead of reading the wrong bytes."""
-    swarm = np.array([[0, 1, 0], [1, 1, 0]], dtype=np.int64)
+    """The threshold steps read rows through a bool view, which only a
+    one-byte swarm has: the move raises instead of reading the wrong
+    bytes, on rows of either formulation."""
     keys = np.array([7], dtype=np.uint64)
-    with pytest.raises(ValueError, match="uint8"):
-        get_backend().move(swarm, 0, np.array([1]), np.array([0.5]), 0.0, 1.0, keys)
+    for pad in (0, _PACKED_MOVE_MAX):
+        swarm = np.zeros((2, 3 + pad), dtype=np.int64)
+        swarm[:, :3] = [[0, 1, 0], [1, 1, 0]]
+        with pytest.raises(ValueError, match="uint8"):
+            get_backend().move(swarm, 0, np.array([1]), np.array([0.5]), 0.0, 1.0, keys)
 
 
 def unmix64(z):
@@ -260,31 +294,45 @@ def test_unmix64_inverts_mix64():
 @pytest.mark.parametrize("lam", LAMS)
 @pytest.mark.parametrize("beta", BETAS, ids=repr)
 def test_move_decides_draws_at_the_threshold(beta, lam):
-    """Keys built to draw exactly K and K - 1 at the flipping element:
-    the kernel agrees with the float rule on both sides of the edge."""
+    """Keys built to draw exactly K and K - 1 at the flipping element,
+    the last of a row of either formulation: the kernel agrees with the
+    float rule on both sides of the edge.  With gamma > 0 and one
+    differing element the step's beta lies inside the range the packed
+    move decides at its ends; with every element differing it is the
+    lower end."""
     be = get_backend()
-    for xj in (0, 1):
-        k_edge = _threshold(beta if xj == 0 else 1.0 - beta, lam)
+    for n, gamma, xj, differ in itertools.product(
+        (2, _PACKED_MOVE_MAX, _PACKED_MOVE_MAX + 1), (0.0, 0.2), (0, 1), ("one", "all")
+    ):
+        e = n - 1
+        r = 1 if differ == "one" else n
+        step_beta = beta * math.exp(-gamma * r)
+        k_edge = _threshold(step_beta if xj == 0 else 1.0 - step_beta, lam)
         for k in {k_edge - 1, k_edge}:
             if not 0 <= k < NEVER:
                 continue
-            key = key_drawing(k)
-            start = np.array([[xj, 1], [1 - xj, 1]], dtype=np.uint8)
+            key = key_drawing(k, e)
+            start = np.ones((2, n), dtype=np.uint8)
+            start[:, : e // 2] = 0
+            start[:, n - r :] = [[xj], [1 - xj]]
             swarm = start.copy()
             keys = np.array([key], dtype=np.uint64)
-            be.move(swarm, 0, np.array([1]), np.array([beta]), 0.0, lam, keys)
-            expected = scalar_pull(start[0], start[1], beta, lam, key)
-            assert swarm[0].tolist() == expected.tolist(), (xj, k, k_edge)
-            assert swarm[0, 0] == (k >= k_edge)
+            be.move(swarm, 0, np.array([1]), np.array([beta]), gamma, lam, keys)
+            expected = scalar_pull(start[0], start[1], step_beta, lam, key)
+            assert swarm[0].tolist() == expected.tolist(), (n, gamma, differ, xj, k, k_edge)
+            assert swarm[0, e] == (k >= k_edge)
 
 
 # ---------------------------------------------------------------------------
-# both kernels against their former float pipelines, on full-size swarms
+# both kernels against their float pipelines, on full-size swarms
 
 
 def reference_move(swarm, j, peers, pull, gamma, lam, keys):
-    """The sparse move (lam <= 1) as a float pipeline over the drawn elements."""
-    assert lam <= 1.0
+    """The move as a float pipeline: over the differing elements for
+    lam <= 1, where no other element can move, and over whole rows beyond."""
+    if lam > 1.0:
+        dense_reference_move(swarm, j, peers, pull, gamma, lam, keys)
+        return
     x = swarm[j]
     for t, i in enumerate(peers):
         b = swarm[i]
@@ -297,6 +345,21 @@ def reference_move(swarm, j, peers, pull, gamma, lam, keys):
         arg = arg + lam * (uniform_at(keys[t], idx) - 0.5)
         arg = arg - 0.5
         x[idx] = arg >= 0.0
+
+
+def dense_reference_move(swarm, j, peers, pull, gamma, lam, keys):
+    """The move as the float rule over whole rows, every step drawn up front."""
+    x = swarm[j]
+    noise = lam * (uniform_at(keys[:, None], np.arange(x.size)) - 0.5)
+    a = x.astype(np.float64)
+    for b, n, p in zip(swarm[peers].astype(np.float64), noise, pull.tolist()):
+        d = b - a
+        beta = p * math.exp(-gamma * np.count_nonzero(d))
+        arg = a + beta * d
+        arg += n
+        arg -= 0.5
+        a = (arg >= 0.0).astype(np.float64)
+    x[:] = a
 
 
 def reference_repair(x, flat, slots):
@@ -319,7 +382,7 @@ def full_scale_case():
     return spec, scn, rates, part
 
 
-@pytest.mark.parametrize("lam", [0.5, 1.0])
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
 def test_kernels_match_float_references_at_full_scale(monkeypatch, full_scale_case, lam):
     """Every move and repair of a full-scale run equals its reference."""
     spec, scn, rates, part = full_scale_case
@@ -347,7 +410,7 @@ def test_kernels_match_float_references_at_full_scale(monkeypatch, full_scale_ca
     cfg = dataclasses.replace(spec.fa, population=20, lambda_rand=lam, max_iters=4, seed=5)
     firefly.run_fa(scn, rates, part, cfg)
     assert len(flipped) >= 4 * 10
-    if lam == 1.0:  # at 0.5 no draw can move a bit at this scale
+    if lam >= 1.0:  # at 0.5 no draw can move a bit at this scale
         assert sum(flipped) > 1000
 
 
