@@ -7,11 +7,12 @@ optimizer reaches them through :func:`get_backend`.  Placement
 surcharges are gathered from the rank tables of
 :class:`fogcache.cache.PlacementEvaluator`.
 
-Randomness inside the kernels is counter-based: every draw is a pure
-function of a 64-bit key and a flat element index, using the splitmix64
-finisher.  That keeps draws bound to (iteration, firefly, peer,
-element) regardless of evaluation order, so the move can make the
-draws of a whole firefly move in one batch.
+Randomness inside the kernels is counter-based: the draw of flat
+element e under a 64-bit key is ``mix64(key + (e + 1) * golden) >> 11``,
+times 2**-53 for a uniform in [0, 1), with golden the splitmix64
+increment and mix64 its finisher.  That keeps draws bound to
+(iteration, firefly, peer, element) regardless of evaluation order, so
+the move can make the draws of a whole firefly move in one batch.
 
 The move rule sets a bit to 1 iff ``c + lam*(u - 1/2) - 1/2 >= 0``,
 where ``c = xj + beta*(xi - xj)`` and ``u = k * 2**-53`` for the 53-bit
@@ -40,7 +41,6 @@ __all__ = [
     "mix64",
     "derive_key",
     "fold_keys",
-    "uniform_at",
     "rng_for",
 ]
 
@@ -120,20 +120,6 @@ def rng_for(seed: int, stream: int) -> np.random.Generator:
     return np.random.default_rng([seed & _MASK64, stream])
 
 
-def uniform_at(key: int, idx: np.ndarray) -> np.ndarray:
-    """Uniform [0, 1) draws for the given flat element indices.
-
-    The draw at index ``e`` depends only on ``(key, e)``, so any subset
-    of elements can be evaluated in any order with identical results.
-    ``key`` may be an array of keys; it broadcasts against ``idx``.
-    """
-    ctr = np.asarray(idx).astype(np.uint64)  # an array, also for 0-d idx
-    ctr += np.uint64(1)
-    ctr *= _GOLDEN_U64
-    ctr = np.asarray(np.asarray(key, dtype=np.uint64) + ctr)
-    return (_mix64_arr(ctr) >> np.uint64(11)).astype(np.float64) * _INV53
-
-
 # ---------------------------------------------------------------------------
 # Kernels.
 
@@ -185,7 +171,7 @@ _PACKED_MOVE_MAX = 63
 def _packed_constants(n: int, gamma: float) -> tuple:
     """Constants of the packed move of n-entry rows, for one gamma.
 
-    The counters ``(e + 1) * golden`` of :func:`uniform_at`; the weight
+    The counters ``(e + 1) * golden`` of the draws; the weight
     ``2**e`` of element e's bit, and e itself; and the factors ``s`` and
     offsets ``o`` with which ``pull * s + o`` gives, per step, the six c
     of :func:`_move_packed`.  Their betas take the least and the largest
@@ -272,8 +258,8 @@ def _move_np(
     ``swarm`` holds binary uint8 rows.  Step t has attraction
     ``beta = pull[t] * exp(-gamma * r)``, r the Hamming distance at that
     moment, and sets each element e to 1 iff
-    xj + beta*(xi - xj) + lam*(u - 1/2) - 1/2 >= 0, with u drawn by
-    ``uniform_at(keys[t], e)``.  The row length picks the formulation.
+    xj + beta*(xi - xj) + lam*(u - 1/2) - 1/2 >= 0, with u the draw of
+    element e under ``keys[t]``.  The row length picks the formulation.
     A row of at most ``_PACKED_MOVE_MAX`` entries runs on packed bits
     (:func:`_move_packed`).  A longer row draws step by step and
     compares the raw 53-bit draws with the thresholds of
@@ -306,7 +292,7 @@ def _move_np(
         beta = p * math.exp(-gamma * r)
         k0 = _threshold(beta, lam)
         k1 = _threshold(1.0 - beta, lam)
-        # the 53-bit draws of uniform_at: mix64(key + (e + 1) * golden) >> 11
+        # the 53-bit draws: mix64(key + (e + 1) * golden) >> 11
         z = idx.view(np.uint64) * _GOLDEN_U64
         z += np.uint64((key + _GOLDEN) & _MASK64)
         _mix64_arr(z)

@@ -1,8 +1,10 @@
 """Reference placement schemes: random, popularity-greedy, exhaustive.
 
 The exhaustive scheme is the ground-truth optimum for small instances,
-found exactly by dynamic programming over contents; the other two are
-the cheap baselines the optimizer is judged against.
+found exactly by dynamic programming over contents on the evaluator's
+per-content column costs; the other two are the cheap baselines the
+optimizer is judged against.  Every scheme fills each cache to
+``capacity_slots``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ __all__ = [
 # the optimum are re-scored by the evaluator; roundoff between the two
 # sums is many orders of magnitude smaller
 _TIE_RTOL = 1e-9
-# column patterns per `surcharges` call, and (state, pattern) pairs
+# column patterns per `column_costs` call, and (state, pattern) pairs
 # per vectorized DP step
 _PATTERN_CHUNK = 4096
 _PAIR_CHUNK = 1 << 18
@@ -49,17 +51,15 @@ def random_caching(scenario: Scenario, seed: int) -> np.ndarray:
 
 
 def greedy_local(scenario: Scenario) -> np.ndarray:
-    """Each F-AP caches its locally most popular contents.
+    """Each F-AP caches the first contents of its ``Scenario.priority``.
 
-    Ties, including the all-tied rows of F-APs without users, resolve
-    toward the lower content id.
+    That is its locally most popular contents; ties, including the
+    all-tied rows of F-APs without users, resolve toward the lower
+    content id.
     """
     params = scenario.params
-    slots = capacity_slots(params)
     x = new_placement(params)
-    if slots:
-        order = np.argsort(-scenario.popularity, axis=1, kind="stable")
-        np.put_along_axis(x, order[:, :slots], 1, axis=1)
+    np.put_along_axis(x, scenario.priority[:, :capacity_slots(params)], 1, axis=1)
     return x
 
 
@@ -72,12 +72,12 @@ def exhaustive_optimal(
     """Optimal placement by dynamic programming over contents.
 
     The objective is a constant plus one term per content that depends
-    only on that content's column pattern (see
-    :class:`~fogcache.cache.PlacementEvaluator`), and only the per-row
-    slot budget couples the columns.  A backward pass over the contents,
-    with the slots used per F-AP as state, gives the least total cost;
-    only reachable states and the column patterns their free slots allow
-    are visited.  Every placement within roundoff of that optimum is
+    only on that content's column pattern
+    (:meth:`~fogcache.cache.PlacementEvaluator.column_costs`), and only
+    the per-row slot budget couples the columns.  A backward pass over
+    the contents, with the slots used per F-AP as state, gives the
+    least total cost; only reachable states and the column patterns
+    their free slots allow are visited.  Every placement within roundoff of that optimum is
     then scored by the evaluator, and objective ties resolve to the
     lexicographically smallest row-major flattened matrix, making the
     result unique and reproducible.
@@ -99,10 +99,15 @@ def exhaustive_optimal(
 
     patterns = np.arange(1 << n_faps)
     fap = np.arange(n_faps)
-    cost = _column_costs(evaluator, patterns)
+    # bits[m, p]: whether F-AP m holds a content of column pattern p
+    bits = (patterns >> fap[:, None]) & 1
+    cost = np.hstack([
+        evaluator.column_costs(bits[:, lo:lo + _PATTERN_CHUNK])
+        for lo in range(0, patterns.size, _PATTERN_CHUNK)
+    ])
     # a state code counts the slots used by F-AP m in digit m, base slots + 1
     place = (slots + 1) ** fap
-    step = ((patterns[:, None] >> fap) & 1) @ place
+    step = place @ bits
 
     def full_rows(codes):
         return ((codes[:, None] // place) % (slots + 1) == slots) @ (1 << fap)
@@ -126,9 +131,7 @@ def exhaustive_optimal(
         to_go[f] = table
 
     # every path whose cost stays within the tie tolerance of the optimum
-    mu = params.weight
-    const = mu * evaluator.const_delay + (1.0 - mu) * evaluator.const_energy
-    limit = to_go[0][0] + _TIE_RTOL * (const + to_go[0][0])
+    limit = to_go[0][0] + _TIE_RTOL * (evaluator.const_objective + to_go[0][0])
     codes = np.zeros(1, dtype=np.int64)
     spent = np.zeros(1)
     paths = np.zeros((1, 0), dtype=np.int64)
@@ -165,25 +168,3 @@ def _lookup(to_go: Optional[np.ndarray], codes: np.ndarray, ok: np.ndarray):
         return 0.0
     return to_go[np.where(ok, codes, 0)]
 
-
-def _column_costs(evaluator: PlacementEvaluator, patterns: np.ndarray) -> np.ndarray:
-    """Objective share of each (content, column pattern), shape (F, P).
-
-    Bit m of a pattern says whether F-AP m holds the content.  The
-    share is the weighted delay and energy surcharge of the content's
-    demand plus the energy of holding its copies.
-    """
-    params = evaluator.scenario.params
-    mu = params.weight
-    hold = params.cache_coeff * params.content_size
-    cost = np.empty((params.num_contents, patterns.size))
-    for lo in range(0, patterns.size, _PATTERN_CHUNK):
-        part = patterns[lo:lo + _PATTERN_CHUNK]
-        bits = (part[None, :] >> np.arange(params.num_faps)[:, None]) & 1
-        extra_t, extra_e = evaluator.surcharges(bits)
-        # demand-weighted sums over F-APs: (M, F) x (M, P) -> (F, P)
-        delay = np.einsum("mf,mp->fp", evaluator.mass, extra_t)
-        energy = np.einsum("mf,mp->fp", evaluator.mass, extra_e)
-        energy += hold * bits.sum(axis=0)
-        cost[:, lo:lo + part.size] = mu * delay + (1.0 - mu) * energy
-    return cost

@@ -13,6 +13,10 @@ Energy mirrors delay (transmit power times transfer time) plus a
 placement-wide caching energy proportional to the number of cached
 bits.  The scalar objective blends delay and energy with weight ``mu``:
 ``mu * delay + (1 - mu) * energy``.
+
+The objective is a constant plus one share per content that depends
+only on the content's column of X: the evaluator's ``const_objective``
+and ``column_costs``, which every scheme that works on columns reads.
 """
 
 from __future__ import annotations
@@ -116,9 +120,9 @@ def new_placement(params: SystemParams) -> np.ndarray:
 
 
 def feasible(x: np.ndarray, params: SystemParams) -> bool:
-    """True when every F-AP's cached bits fit its capacity."""
-    counts = np.count_nonzero(x, axis=1)
-    return bool(np.all(counts * params.content_size <= params.capacity))
+    """True when no F-AP caches more contents than its
+    :func:`~fogcache.scenario.capacity_slots`."""
+    return bool(np.all(np.count_nonzero(x, axis=1) <= capacity_slots(params)))
 
 
 def caching_energy(x: np.ndarray, params: SystemParams) -> float:
@@ -178,6 +182,7 @@ class PlacementEvaluator:
         access = rates.access[local, users]
         self.const_delay = float(np.sum(size / access))
         self.const_energy = float(np.sum(powers[local] * size / access))
+        self.const_objective = self._blend(self.const_delay, self.const_energy)
 
         n_faps = params.num_faps
         ids = np.arange(n_faps)
@@ -227,6 +232,22 @@ class PlacementEvaluator:
             first = held if first is None else np.minimum(first, held, out=first)
         return self._extra_t.take(first), self._extra_e.take(first)
 
+    def column_costs(self, columns: np.ndarray) -> np.ndarray:
+        """Objective share of each (content, column), shape (F, P).
+
+        ``columns`` is read as :meth:`surcharges` reads it.  The share is
+        the blended surcharge of the content's demand plus the energy of
+        holding the column's copies.  Pass many columns in chunks.
+        """
+        params = self.scenario.params
+        columns = np.asarray(columns, dtype=np.uint8)
+        extra_t, extra_e = self.surcharges(columns)
+        # demand-weighted sums over F-APs: (M, F) x (M, P) -> (F, P)
+        delay = np.einsum("mf,mp->fp", self.mass, extra_t)
+        energy = np.einsum("mf,mp->fp", self.mass, extra_e)
+        energy += params.cache_coeff * params.content_size * columns.sum(axis=0)
+        return self._blend(delay, energy)
+
     def evaluate(self, x: np.ndarray) -> EvalResult:
         params = self.scenario.params
         x = np.ascontiguousarray(x, dtype=np.uint8)
@@ -237,7 +258,10 @@ class PlacementEvaluator:
             + self.const_energy
             + float((self.mass * extra_e).sum())
         )
-        mu = params.weight
-        objective = mu * delay + (1.0 - mu) * energy
-        return EvalResult(delay=delay, energy=energy, objective=objective)
+        return EvalResult(delay, energy, self._blend(delay, energy))
+
+    def _blend(self, delay, energy):
+        """The objective's delay/energy mix, for scalars or arrays."""
+        mu = self.scenario.params.weight
+        return mu * delay + (1.0 - mu) * energy
 

@@ -37,12 +37,21 @@ from .social import build_social_graph
 
 __all__ = ["main", "build_parser"]
 
-# the override flag that sets the field each sweep axis varies
-_AXIS_FLAGS = {
-    "capacity": "--capacity-gb",
-    "zipf_eta": "--eta",
-    "social_delta": "--delta",
-}
+# system override flags: (flag, help, SystemParams fields set, conversion to SI)
+_SYSTEM_FLAGS = (
+    ("--capacity-gb", "override cache capacity, in gigabytes", ("capacity",), gb_to_bits),
+    ("--content-mb", "override content size, in megabytes", ("content_size",), mb_to_bits),
+    ("--bandwidth-mhz", "override both link bandwidths, in MHz",
+     ("bw_access", "bw_coop"), mhz_to_hz),
+    ("--power-dbm", "override F-AP transmit power, in dBm", ("fap_power",), dbm_to_watts),
+    ("--eta", "override the Zipf exponent", ("zipf_eta",), float),
+    ("--delta", "override the social loss weight", ("social_delta",), float),
+    ("--mu", "override the delay/energy mix weight", ("weight",), float),
+)
+
+
+def _flag_value(args: argparse.Namespace, flag: str):
+    return getattr(args, flag[2:].replace("-", "_"))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -54,20 +63,8 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--repeatable", action="store_true",
                    help="zero the wall-clock column for byte-stable output")
     p.add_argument("--quiet", action="store_true", help="suppress the summary")
-    p.add_argument("--capacity-gb", type=float, default=None,
-                   help="override cache capacity, in gigabytes")
-    p.add_argument("--content-mb", type=float, default=None,
-                   help="override content size, in megabytes")
-    p.add_argument("--bandwidth-mhz", type=float, default=None,
-                   help="override both link bandwidths, in MHz")
-    p.add_argument("--power-dbm", type=float, default=None,
-                   help="override F-AP transmit power, in dBm")
-    p.add_argument("--eta", type=float, default=None,
-                   help="override the Zipf exponent")
-    p.add_argument("--delta", type=float, default=None,
-                   help="override the social loss weight")
-    p.add_argument("--mu", type=float, default=None,
-                   help="override the delay/energy mix weight")
+    for flag, text, _, _ in _SYSTEM_FLAGS:
+        p.add_argument(flag, type=float, default=None, help=text)
     p.add_argument("--seed", type=int, nargs="+", default=None,
                    help="override the seed list")
     p.add_argument("--scheme", nargs="+", choices=SCHEMES, default=None,
@@ -106,21 +103,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
     system = spec.system
-    if args.capacity_gb is not None:
-        system = replace(system, capacity=gb_to_bits(args.capacity_gb))
-    if args.content_mb is not None:
-        system = replace(system, content_size=mb_to_bits(args.content_mb))
-    if args.bandwidth_mhz is not None:
-        hz = mhz_to_hz(args.bandwidth_mhz)
-        system = replace(system, bw_access=hz, bw_coop=hz)
-    if args.power_dbm is not None:
-        system = replace(system, fap_power=dbm_to_watts(args.power_dbm))
-    if args.eta is not None:
-        system = replace(system, zipf_eta=args.eta)
-    if args.delta is not None:
-        system = replace(system, social_delta=args.delta)
-    if args.mu is not None:
-        system = replace(system, weight=args.mu)
+    for flag, _, names, to_si in _SYSTEM_FLAGS:
+        value = _flag_value(args, flag)
+        if value is not None:
+            system = replace(system, **dict.fromkeys(names, to_si(value)))
     spec = replace(spec, system=system)
     if args.seed is not None:
         spec = replace(spec, seeds=tuple(args.seed))
@@ -146,11 +132,11 @@ def _cmd_run(args: argparse.Namespace, sweep: bool) -> int:
     spec = _apply_overrides(load_config(args.config), args)
     if sweep:
         axis = args.axis if args.axis is not None else spec.sweep_axis
-        flag = _AXIS_FLAGS.get(axis)
-        if flag is not None and getattr(args, flag[2:].replace("-", "_")) is not None:
-            print(f"sweep over {axis} cannot take {flag}: the sweep sets {axis}",
-                  file=sys.stderr)
-            return 2
+        for flag, _, names, _ in _SYSTEM_FLAGS:
+            if axis in names and _flag_value(args, flag) is not None:
+                print(f"sweep over {axis} cannot take {flag}: the sweep sets {axis}",
+                      file=sys.stderr)
+                return 2
         if args.values is not None:
             vals = tuple(float(v) for v in args.values.split(","))
         elif axis != spec.sweep_axis:

@@ -124,13 +124,13 @@ def _cell_id(axis: str, value: Optional[float], seed: int, scheme: str) -> str:
 
 
 def _build_cell(spec: ExperimentSpec, params: SystemParams, seed: int) -> tuple:
-    """Scenario, rates, social graph, HCG result and partition of one cell.
+    """Scenario, rates, HCG result and partition of one cell.
 
-    The graph and the HCG result are None unless the clustering is HCG.
+    The HCG result is None unless the clustering is HCG.
     """
     scenario = generate_scenario(params, seed)
     rates = build_rate_table(scenario)
-    graph = hcg_res = None
+    hcg_res = None
     if spec.clustering == "hcg":
         graph = build_social_graph(scenario, rates)
         hcg_res = run_hcg(graph, replace(spec.hcg, seed=derive_key(seed, _TAG_HCG)))
@@ -139,7 +139,7 @@ def _build_cell(spec: ExperimentSpec, params: SystemParams, seed: int) -> tuple:
         partition = Partition.singletons(params.num_faps)
     else:
         partition = Partition.whole_set(params.num_faps)
-    return scenario, rates, graph, hcg_res, partition
+    return scenario, rates, hcg_res, partition
 
 
 def run_experiment(
@@ -159,7 +159,7 @@ def run_experiment(
     for value in values:
         params = _apply_axis(spec.system, spec.sweep_axis, value)
         for seed in spec.seeds:
-            scenario, rates, _, hcg_res, partition = _build_cell(spec, params, seed)
+            scenario, rates, hcg_res, partition = _build_cell(spec, params, seed)
             hcg_passes = hcg_res.passes if hcg_res is not None else 0
             evaluator = PlacementEvaluator(scenario, rates, partition)
 
@@ -288,7 +288,7 @@ def run_verification(spec: ExperimentSpec) -> List[Tuple[str, bool, str]]:
     seed = spec.seeds[0]
     value = spec.sweep_values[0] if spec.sweep_axis != "none" else None
     params = _apply_axis(spec.system, spec.sweep_axis, value)
-    sc, _, _, hcg_res, _ = _build_cell(spec, params, seed)
+    sc, _, hcg_res, _ = _build_cell(spec, params, seed)
 
     sc2 = generate_scenario(params, seed)
     ok = all(

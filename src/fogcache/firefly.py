@@ -10,8 +10,8 @@ rule.  The best placement ever seen is kept outside the swarm, so the
 reported history never worsens.
 
 All randomness inside the main loop is counter-based: the draw for
-(iteration q, firefly j, peer i, element e) is
-``uniform_at(derive_key(seed, 0xF2, q, j, i), e)``.  That makes runs
+(iteration q, firefly j, peer i, element e) is the draw of element e
+under the key ``derive_key(seed, 0xF2, q, j, i)``.  That makes runs
 reproducible whatever order the draws are made in, and lets an
 iteration derive all its keys in one vectorized call and a move make
 its draws in whatever batches suit it; see :mod:`fogcache._kernels`.
@@ -126,10 +126,8 @@ def run_fa(
     be = get_backend()
     evaluator = PlacementEvaluator(scenario, rates, partition)
     slots = capacity_slots(params)
-    # repair priority: most locally popular first, index breaks ties; the
-    # repair takes it as flat indices into a placement
-    prio = np.argsort(-scenario.popularity, axis=1, kind="stable").astype(np.int64)
-    prio += np.arange(0, prio.size, params.num_contents)[:, None]
+    # the repair takes the priority order as flat indices into a placement
+    prio = scenario.priority + params.num_contents * np.arange(params.num_faps)[:, None]
 
     swarm = np.stack(
         _initial_swarm(scenario, slots, config.population, config.seed)

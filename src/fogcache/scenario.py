@@ -126,8 +126,8 @@ def capacity_slots(params: SystemParams) -> int:
 class Scenario:
     """One sampled network instance.
 
-    ``demand_mass`` and ``popularity`` are derived from ``local_fap`` and
-    ``demand`` on construction and are read-only;
+    ``demand_mass``, ``popularity`` and ``priority`` are derived from
+    ``local_fap`` and ``demand`` on construction and are read-only;
     ``dataclasses.replace`` constructs anew, so they always match the
     demand they sit next to.
     """
@@ -141,6 +141,9 @@ class Scenario:
     demand_mass: np.ndarray = field(init=False, repr=False)
     # (M, F) rows of demand_mass normalized; zero rows for F-APs without users
     popularity: np.ndarray = field(init=False, repr=False)
+    # (M, F) content ids of each row of popularity, most popular first,
+    # the lower id first on ties
+    priority: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         p = self.params
@@ -166,10 +169,12 @@ class Scenario:
         sums = mass.sum(axis=1, keepdims=True)
         pop = np.zeros_like(mass)
         np.divide(mass, sums, out=pop, where=sums > 0)
-        mass.flags.writeable = False
-        pop.flags.writeable = False
+        prio = np.argsort(-pop, axis=1, kind="stable")
+        for a in (mass, pop, prio):
+            a.flags.writeable = False
         self.demand_mass = mass
         self.popularity = pop
+        self.priority = prio
 
 
 def pairwise_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:

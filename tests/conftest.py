@@ -22,7 +22,7 @@ from fogcache import (
     build_rate_table,
     generate_scenario,
 )
-from fogcache._kernels import uniform_at
+from fogcache._kernels import _GOLDEN_U64, _INV53, _mix64_arr
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -56,6 +56,20 @@ def flat_order(prio):
     indices into the flattened placement."""
     prio = np.asarray(prio, dtype=np.int64)
     return prio + np.arange(0, prio.size, prio.shape[1])[:, None]
+
+
+def uniform_at(key, idx) -> np.ndarray:
+    """The kernels' uniform [0, 1) draws at the given flat element indices.
+
+    The draw at index e is ``mix64(key + (e + 1) * golden) >> 11``, times
+    2**-53; it depends only on ``(key, e)``.  ``key`` may be an array of
+    keys; it broadcasts against ``idx``.
+    """
+    ctr = np.asarray(idx).astype(np.uint64)  # an array, also for 0-d idx
+    ctr += np.uint64(1)
+    ctr *= _GOLDEN_U64
+    ctr = np.asarray(np.asarray(key, dtype=np.uint64) + ctr)
+    return (_mix64_arr(ctr) >> np.uint64(11)).astype(np.float64) * _INV53
 
 
 def pull_rule(c, lam, u):

@@ -63,7 +63,7 @@ def enumerate_optimal(scenario, rates, partition):
 def gate_instance(seed):
     """Scenario, rates and HCG partition of one near-optimality gate seed."""
     spec = ExperimentSpec(system=SMALL, hcg=HcgConfig(), fa=FaConfig())
-    scn, rates, _, _, part = _build_cell(spec, SMALL, seed)
+    scn, rates, _, part = _build_cell(spec, SMALL, seed)
     return scn, rates, part
 
 

@@ -13,6 +13,7 @@ from fogcache import (
     SystemParams,
     build_rate_table,
     caching_energy,
+    capacity_slots,
     feasible,
     generate_scenario,
     new_placement,
@@ -83,6 +84,22 @@ def test_feasible_boundaries():
     x[0, :2] = 1
     assert feasible(x, params)
     x[0, 2] = 1
+    assert not feasible(x, params)
+
+
+def test_feasible_counts_slots_not_bits():
+    """``feasible`` admits exactly the ``capacity_slots`` budget that every
+    scheme fills to, also where ``count * content_size <= capacity`` in
+    floats would admit one content more."""
+    params = make_params(num_faps=1, num_users=1, num_contents=200,
+                         content_size=0.555, capacity=97.68)
+    slots = capacity_slots(params)
+    assert slots == 175
+    assert (slots + 1) * params.content_size <= params.capacity
+    x = np.zeros((1, 200), dtype=np.uint8)
+    x[0, :slots] = 1
+    assert feasible(x, params)
+    x[0, slots] = 1
     assert not feasible(x, params)
 
 
@@ -413,6 +430,25 @@ def test_rank_tables_equal_masked_max_kernel(hop, n_faps, partition):
     rates = build_rate_table(scn)
     part = PARTITIONS[partition](n_faps)
     assert_rank_tables_exact(scn, rates, part, np.random.default_rng(n_faps))
+
+
+@pytest.mark.parametrize("hop", ["free", "charged"])
+@pytest.mark.parametrize("n_faps", [3, 8, 9, 15])
+def test_column_costs_sum_to_the_objective(hop, n_faps):
+    """The constant plus each content's share under its own column is the
+    objective of the placement, on both sides of the 8-row chunk."""
+    params = SystemParams(num_faps=n_faps, num_users=4 * n_faps, num_contents=60,
+                          content_size=4.0e9, capacity=4.0e10,
+                          intra_cluster_hop=hop)
+    scn = generate_scenario(params, n_faps)
+    ev = PlacementEvaluator(scn, build_rate_table(scn), PARTITIONS["mixed"](n_faps))
+    rng = np.random.default_rng(n_faps)
+    for density in (0.0, 0.1, 0.5, 1.0):
+        x = (rng.random((n_faps, 60)) < density).astype(np.uint8)
+        cost = ev.column_costs(x)
+        assert cost.shape == (60, 60)
+        total = ev.const_objective + float(np.trace(cost))
+        assert total == pytest.approx(ev.evaluate(x).objective, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("hop", ["free", "charged"])

@@ -16,6 +16,7 @@ from fogcache import (
     HcgConfig,
     PlacementEvaluator,
     SystemParams,
+    build_social_graph,
     dbm_to_watts,
     experiment,
     gb_to_bits,
@@ -400,9 +401,9 @@ def test_shipped_config_partition_is_individually_stable(path):
     individually stable by the scalar reference rule."""
     spec = load_config(str(path))
     params, seed = first_cell(spec)
-    _, _, graph, hcg_res, part = experiment._build_cell(spec, params, seed)
+    scn, rates, hcg_res, part = experiment._build_cell(spec, params, seed)
     assert hcg_res.converged
-    assert is_individually_stable(graph, part)
+    assert is_individually_stable(build_social_graph(scn, rates), part)
 
 
 @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
@@ -413,7 +414,7 @@ def test_shipped_config_evaluator_matches_request_sum(path):
     spec = load_config(str(path))
     params, seed = first_cell(spec)
     small = experiment._scaled_down(params)
-    scn, rates, _, _, part = experiment._build_cell(spec, small, seed)
+    scn, rates, _, part = experiment._build_cell(spec, small, seed)
     evaluator = PlacementEvaluator(scn, rates, part)
     rng = np.random.default_rng(derive_key(seed, 0x5E1F) & (2**63 - 1))
     for _ in range(5):

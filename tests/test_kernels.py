@@ -35,11 +35,10 @@ from fogcache._kernels import (
     fold_keys,
     get_backend,
     mix64,
-    uniform_at,
 )
 from fogcache.config import load_config
 
-from conftest import flat_order, pull_rule, scalar_pull
+from conftest import flat_order, pull_rule, scalar_pull, uniform_at
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

@@ -364,8 +364,11 @@ MASS_CASES = dict(_mass_cases())
 
 @pytest.mark.parametrize("case", list(MASS_CASES))
 def test_local_demand_mass_matches_add_at(case):
+    """The mass equals np.add.at, and the priority the stable argsort."""
     scn = MASS_CASES[case]()
     assert scn.demand_mass.tobytes() == reference_demand_mass(scn).tobytes()
+    expected = np.argsort(-scn.popularity, axis=1, kind="stable")
+    assert scn.priority.tobytes() == expected.tobytes()
 
 
 def test_local_demand_mass_built_once_and_shared(full_shape):
@@ -380,6 +383,7 @@ def test_local_demand_mass_is_read_only(full_shape):
     for name, reference in (
         ("demand_mass", reference_demand_mass(scn)),
         ("popularity", scn.popularity.copy()),
+        ("priority", np.argsort(-scn.popularity, axis=1, kind="stable")),
     ):
         arr = getattr(scn, name)
         with pytest.raises(ValueError):
@@ -398,8 +402,13 @@ def test_replaced_demand_rebuilds_the_aggregates(full_shape):
     for m in range(params.num_faps):
         expected = 1.0 / params.num_contents if counts[m] else 0.0
         np.testing.assert_allclose(other.popularity[m], expected, rtol=1e-12)
+    # every content ties under a uniform demand, so the lower id goes first
+    ids = np.arange(params.num_contents)
+    assert np.array_equal(other.priority, np.broadcast_to(ids, other.priority.shape))
     # the source scenario keeps its own
     assert scn.demand_mass.tobytes() == reference_demand_mass(scn).tobytes()
+    assert scn.priority.tobytes() == np.argsort(
+        -scn.popularity, axis=1, kind="stable").tobytes()
 
 
 # ---------------------------------------------------------------------------
