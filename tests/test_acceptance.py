@@ -7,6 +7,7 @@ scenario batches are session fixtures; each full-scale cell runs once.
 """
 
 import hashlib
+import itertools
 import subprocess
 import sys
 import time
@@ -405,18 +406,12 @@ def test_repeatable_csv(tmp_path):
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-# sha256 of the --repeatable results and trace files.  A change that
-# alters outputs on purpose updates these pins and says so in CHANGES.md.
-GOLDEN = {
-    "small": (
-        "8d51eea93d0b391b0a2fe70c195b3d500183c13bfbbce74abaa36a2a0655ebf1",
-        "9bc23e365692c8bf7aece5ff02f480664a7742604e2162ffbd6a8b92f47f7115",
-    ),
-    "full_scale_reduced": (
-        "0914c2e2e5f00026da5d26af99a3f86318544e35dbe9e168099eac7e12185fec",
-        "df4c3fe1d869eb154975249a1eb24e9e569aff4d98e2e66946c924bf54325318",
-    ),
-}
+# The --repeatable results and trace files of each golden config, as the
+# CLI wrote them when they were pinned.  A change that alters outputs on
+# purpose rewrites these files and says so in CHANGES.md; the diff of
+# the files then shows which cells moved.
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN_NAMES = ("full_scale_reduced", "small")
 
 
 def _golden_config(name, tmp_path):
@@ -432,17 +427,29 @@ def _golden_config(name, tmp_path):
     return cfg
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
+def _first_differences(got: bytes, want: bytes, limit: int = 3) -> str:
+    """The first ``limit`` rows that differ, pinned row above written row."""
+    a, b = want.decode().splitlines(), got.decode().splitlines()
+    rows = [f"row {n}: pinned {x!r}, written {y!r}"
+            for n, (x, y) in enumerate(itertools.zip_longest(a, b)) if x != y]
+    return "; ".join(rows[:limit])
+
+
+@pytest.mark.parametrize("name", GOLDEN_NAMES)
 def test_outputs_match_golden_pins(tmp_path, name):
-    """The CLI still writes the very bytes it wrote when the pins were taken."""
+    """The CLI still writes the very bytes of the pinned golden files."""
     out, trace = tmp_path / "results.csv", tmp_path / "trace.csv"
     proc = _cli(["run", str(_golden_config(name, tmp_path)), "-o", str(out),
                  "--trace", str(trace), "--repeatable", "--quiet"], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
-    digests = tuple(hashlib.sha256(f.read_bytes()).hexdigest() for f in (out, trace))
-    report(
-        f"golden outputs ({name})",
-        digests == GOLDEN[name],
-        f"results ({out.stat().st_size} bytes) and trace "
-        f"({trace.stat().st_size} bytes) hash to the pinned sha256",
-    )
+    sizes, diffs = [], []
+    for kind, path in (("results", out), ("trace", trace)):
+        got = path.read_bytes()
+        want = (GOLDEN_DIR / f"{name}_{kind}.csv").read_bytes()
+        digest = hashlib.sha256(got).hexdigest()[:12]
+        sizes.append(f"{kind} ({len(got)} bytes, sha256 {digest})")
+        if got != want:
+            diffs.append(f"{kind}: {_first_differences(got, want)}")
+    verdict = "; ".join(diffs) if diffs else "byte-identical"
+    report(f"golden outputs ({name})", not diffs,
+           f"{' and '.join(sizes)} against tests/golden/{name}_*.csv: {verdict}")
