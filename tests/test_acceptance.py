@@ -84,6 +84,17 @@ def report(gate: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
+def _per_seed(lower, higher):
+    """Per-seed verdict that each value of ``lower`` lies strictly below
+    its partner in ``higher``: whether all do, and a line with the wins
+    and the least and median relative margin ``1 - lower / higher``."""
+    margin = 1.0 - np.asarray(lower) / np.asarray(higher)
+    wins = int(np.count_nonzero(margin > 0.0))
+    return wins == margin.size, (
+        f"{wins}/{margin.size} wins, least margin {margin.min():.1%}, "
+        f"median {np.median(margin):.1%}")
+
+
 @pytest.fixture(scope="session")
 def oracle_batch():
     """100 seeds of the small instance: improved FA next to the oracle."""
@@ -253,19 +264,26 @@ def test_feasibility():
 
 
 def test_delay_falls_with_capacity(full_store):
-    """Mean FA delay is non-increasing in cache size (1% tolerance)."""
+    """FA delay falls at every capacity step on every seed, and its mean
+    is non-increasing in cache size (1% tolerance)."""
     by_cap = {}
     for r in _fa_rows(full_store, CAPACITY_SYSTEMS):
-        by_cap.setdefault(r.C_bits, []).append(r.delay_seconds)
+        by_cap.setdefault(r.C_bits, []).append(r)
     caps = sorted(by_cap)
     assert caps == [gb * 8.0e9 for gb in CAPACITIES_GB]
-    means = [float(np.mean(by_cap[c])) for c in caps]
-    ok = all(len(by_cap[c]) == len(FULL_SEEDS) for c in caps)
+    ok = all([r.seed for r in by_cap[c]] == list(FULL_SEEDS) for c in caps)
+    delays = [[r.delay_seconds for r in by_cap[c]] for c in caps]
+    means = [float(np.mean(d)) for d in delays]
     ok = ok and all(means[i + 1] <= means[i] * 1.01 for i in range(len(means) - 1))
+    # each seed's delay at the larger capacity against the smaller one
+    drops, drops_text = _per_seed(np.ravel(delays[1:]), np.ravel(delays[:-1]))
     pretty = ", ".join(
-        f"{gb}GB:{m:.0f}s" for gb, m in zip(CAPACITIES_GB, means)
+        f"{gb}GB:{m:.0f}s/{np.mean([r.energy_joules for r in by_cap[c]]):.0f}J"
+        for gb, c, m in zip(CAPACITIES_GB, caps, means)
     )
-    report("capacity trend", ok, f"mean delay over 20 seeds: {pretty}")
+    report("capacity trend", ok and drops,
+           f"per-seed delay drops per step: {drops_text}; "
+           f"mean delay/energy over 20 seeds: {pretty}")
 
 
 def test_delay_rises_with_delta(full_store):
@@ -292,20 +310,29 @@ def test_delay_rises_with_delta(full_store):
 
 
 def test_beats_baselines(full_store):
-    """FA's mean objective is strictly below random and greedy caching."""
+    """FA's objective is strictly below random and greedy caching on every
+    seed, and so in the mean."""
     by_scheme = {}
     for r in _base_rows(full_store):
-        by_scheme.setdefault(r.scheme, []).append(r.objective)
-    means = {s: float(np.mean(v)) for s, v in by_scheme.items()}
-    assert all(len(v) == len(FULL_SEEDS) for v in by_scheme.values())
+        by_scheme.setdefault(r.scheme, []).append(r)
+    assert all([r.seed for r in v] == list(FULL_SEEDS) for v in by_scheme.values())
+    objective = {s: [r.objective for r in v] for s, v in by_scheme.items()}
+    means = {s: float(np.mean(v)) for s, v in objective.items()}
     ok = (means["improved_fa"] < means["random"]
           and means["improved_fa"] < means["greedy_local"])
-    report(
-        "dominance",
-        ok,
-        f"mean objective over 20 seeds: fa={means['improved_fa']:.0f} < "
-        f"random={means['random']:.0f}, greedy={means['greedy_local']:.0f}",
+    verdicts = []
+    for rival in ("random", "greedy_local"):
+        won, text = _per_seed(objective["improved_fa"], objective[rival])
+        ok = ok and won
+        verdicts.append(f"fa vs {rival}: {text}")
+    pretty = ", ".join(
+        f"{s}={means[s]:.0f} ({np.mean([r.delay_seconds for r in v]):.0f}s/"
+        f"{np.mean([r.energy_joules for r in v]):.0f}J)"
+        for s, v in by_scheme.items()
     )
+    report("dominance", ok,
+           f"{'; '.join(verdicts)}; mean objective (delay/energy) over 20 "
+           f"seeds: {pretty}")
 
 
 def test_double_bookkeeping():
