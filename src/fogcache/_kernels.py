@@ -8,22 +8,19 @@ surcharges are gathered from the rank tables of
 :class:`fogcache.cache.PlacementEvaluator`.
 
 Randomness inside the kernels is counter-based: the draw of flat
-element e under a 64-bit key is ``mix64(key + (e + 1) * golden) >> 11``,
-times 2**-53 for a uniform in [0, 1), with golden the splitmix64
+element e under a 64-bit key is the 53-bit integer
+``mix64(key + (e + 1) * golden) >> 11``, with golden the splitmix64
 increment and mix64 its finisher.  That keeps draws bound to
 (iteration, firefly, peer, element) regardless of evaluation order, so
 the move can make the draws of a whole firefly move in one batch.
 
-The move rule sets a bit to 1 iff ``c + lam*(u - 1/2) - 1/2 >= 0``,
-where ``c = xj + beta*(xi - xj)`` and ``u = k * 2**-53`` for the 53-bit
-draw k.  Every float operation of the rule rounds monotonically in c
-and in k (lam >= 0), and the row length alone picks how the move uses
-that.  A row that fits one machine word decides every element in one
-batch at the two ends of the range of beta and runs the steps on
-packed bits; a longer row compares the raw integer draws of each step
-with the exact threshold of each c (:func:`_threshold`) and forms no
-float per bit.  lam selects no code.  The float rule over whole rows
-is the reference in ``tests/test_kernels.py``.
+The move is the binary firefly step as its per-bit law.  An element
+that differs from the brighter peer takes the peer's value with chance
+``p = clip(1/2 + (beta - 1/2) / lam, 0, 1)``; one that agrees flips
+with chance ``q = max(0, 1/2 - 1/(2 lam))``.  An element changes iff
+its draw is below ``int(P * 2**53)``, P its p or q.  The row length
+alone picks the move's formulation (:func:`_move_np`); both make that
+integer comparison, so they agree bit for bit.
 """
 
 from __future__ import annotations
@@ -49,7 +46,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _NEVER = 1 << 53  # one past the largest 53-bit draw
-_INV53 = 1.0 / _NEVER  # 2**-53
 
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MIX1_U64 = np.uint64(_MIX1)
@@ -128,38 +124,33 @@ def _hamming_np(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.count_nonzero(a != b))
 
 
-def _threshold(c: float, lam: float) -> int:
-    """Least 53-bit draw k for which the move rule sets an element to 1.
+def _draws(keys, idx) -> np.ndarray:
+    """The 53-bit draws ``mix64(key + (e + 1) * golden) >> 11``, as int64,
+    of flat elements ``idx`` under ``keys``; the two broadcast."""
+    z = np.asarray(idx).astype(np.uint64)  # an array, also for 0-d idx
+    z += np.uint64(1)
+    z *= _GOLDEN_U64
+    # array + array wraps silently, even 0-d; numpy scalar math would warn
+    z = np.asarray(np.asarray(keys, dtype=np.uint64) + z)
+    _mix64_arr(z)
+    z >>= np.uint64(11)
+    return z.view(np.int64)
 
-    The rule is ``c + lam*(u - 1/2) - 1/2 >= 0`` with ``u = k * 2**-53``,
-    evaluated in doubles in exactly this order.  Every operation on the
-    way rounds monotonically and ``lam >= 0``, so the rule holds for all
-    k from some K on; the result is that K, 2**53 meaning "never".  The
-    closed-form K is only a starting guess: the search gallops away from
-    it until the rule changes and bisects the bracket, so rounding can
-    move the guess but never the answer.  A guess that overflows (tiny
-    lam) or means nothing (lam == 0) costs at most about 110 checks.
+
+def _chance(beta, lam: float):
+    """``int(P * 2**53)``, P the law's chance that an element changes at
+    ``beta`` (an array or a float): a draw below it changes the element.
+
+    P is ``clip(1/2 + (beta - 1/2) / lam, 0, 1)``, and at lam = 0 a 0 and
+    a 1 alike take their peer's value iff beta >= 1/2.  At beta = 0 it is
+    ``max(0, 1/2 - 1/(2 lam))``, the chance of an element that agrees
+    with its peer.  Monotone in beta, also as rounded.
     """
-
-    def holds(k: int) -> bool:
-        return c + lam * (k * _INV53 - 0.5) - 0.5 >= 0.0
-
-    guess = (0.5 + (0.5 - c) / lam) * _NEVER if lam > 0.0 else float(_NEVER)
-    k = int(min(max(guess, 0.0), _NEVER - 1.0))
-    lo, hi, step = 0, _NEVER, 1  # the answer lies in [lo, hi]
-    while lo <= k < hi:
-        if holds(k):
-            hi, k = k, k - step
-        else:
-            lo, k = k + 1, k + step
-        step *= 2
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    if lam > 0.0:
+        p = np.minimum(np.maximum(0.5 + (beta - 0.5) / lam, 0.0), 1.0)
+    else:
+        p = np.greater_equal(beta, 0.5).astype(np.float64)
+    return (p * _NEVER).astype(np.int64)
 
 
 # a row of at most this many entries packs into the 63 value bits of one
@@ -169,143 +160,70 @@ _PACKED_MOVE_MAX = 63
 
 @functools.lru_cache(maxsize=16)
 def _packed_constants(n: int, gamma: float) -> tuple:
-    """Constants of the packed move of n-entry rows, for one gamma.
-
-    The counters ``(e + 1) * golden`` of the draws; the weight
-    ``2**e`` of element e's bit, and e itself; and the factors ``s`` and
-    offsets ``o`` with which ``pull * s + o`` gives, per step, the six c
-    of :func:`_move_packed`.  Their betas take the least and the largest
-    ``exp(-gamma * r)`` over every Hamming distance r in [0, n].
-    """
+    """Element ids and bit weights ``2**e`` of n-entry rows, and the
+    factors of a step's pull that give 0 and the two ends of its beta:
+    the least and the largest ``exp(-gamma * r)`` over r in [0, n]."""
     e = np.arange(n)
-    ctr = (e + 1).astype(np.uint64) * _GOLDEN_U64
-    weight = np.left_shift(1, e)
     spread = [math.exp(-gamma * r) for r in range(n + 1)]
-    low, high = min(spread), max(spread)
-    # 1 + (-b) is 1 - b, rounded alike
-    s = np.array([0.0, 0.0, low, high, -low, -high])
-    o = np.array([0.0, 1.0, 0.0, 0.0, 1.0, 1.0])
-    for a in (ctr, weight, e, s, o):
+    out = (e, np.left_shift(1, e), np.array([0.0, min(spread), max(spread)]))
+    for a in out:
         a.flags.writeable = False
-    return ctr, weight, e, s, o
+    return out
 
 
-def _move_packed(
-    swarm: np.ndarray,
-    j: int,
-    peers: np.ndarray,
-    pull: np.ndarray,
-    gamma: float,
-    lam: float,
-    keys: np.ndarray,
-) -> None:
-    """:func:`_move_np` on rows of at most ``_PACKED_MOVE_MAX`` entries.
-
-    One batch draws every (step, element) and decides each element's
-    outcome at six values of c: 0 and 1 (an element equal to its peer's),
-    and beta and 1 - beta (a 0 and a 1 that differ from it) at both ends
-    of the range of beta a step can have.  The steps then run on rows
-    packed into Python ints.  The rule rounds monotonically in c, so a
-    differing element whose two outcomes agree is decided; only the
-    others are decided again, in plain floats, with the step's exact
-    beta.
-    """
-    ctr, weight, shift, s, o = _packed_constants(swarm.shape[1], float(gamma))
-    z = np.asarray(keys, dtype=np.uint64)[:, None] + ctr
-    _mix64_arr(z)
-    z >>= np.uint64(11)
-    noise = z.astype(np.float64)
-    noise *= _INV53
-    noise -= 0.5
-    noise *= lam
-    arg = (pull[:, None] * s + o)[:, :, None] + noise[:, None, :]
-    arg -= 0.5
-    wins = ((arg >= 0.0) @ weight).tolist()
-    rows = (swarm @ weight).tolist()
-    x = rows[j]
-    for t, (i, p, (a0, a1, d0, d0_end, d1, d1_end)) in enumerate(
-        zip(peers.tolist(), pull.tolist(), wins)
-    ):
-        d = x ^ rows[i]
-        rise = d & ~x  # a 0 whose peer holds a 1
-        fall = d & x
-        y = (x & ~d & a1) | (~(x | d) & a0)
-        y |= (rise & d0 & d0_end) | (fall & d1 & d1_end)
-        open_ = (rise & (d0 ^ d0_end)) | (fall & (d1 ^ d1_end))
-        if open_:
-            beta = p * math.exp(-gamma * d.bit_count())
-            while open_:
-                bit = open_ & -open_
-                open_ ^= bit
-                c = 1.0 - beta if x & bit else beta
-                if (c + noise.item(t, bit.bit_length() - 1)) - 0.5 >= 0.0:
-                    y |= bit
-        x = y
-    swarm[j] = (x >> shift) & 1
-
-
-def _move_np(
-    swarm: np.ndarray,
-    j: int,
-    peers: np.ndarray,
-    pull: np.ndarray,
-    gamma: float,
-    lam: float,
-    keys: np.ndarray,
-) -> None:
+def _move_np(swarm: np.ndarray, j: int, peers: np.ndarray, pull: np.ndarray,
+             gamma: float, lam: float, keys: np.ndarray) -> None:
     """Pull flat row ``swarm[j]`` toward each ``swarm[peers[t]]`` in turn, in place.
 
     ``swarm`` holds binary uint8 rows.  Step t has attraction
     ``beta = pull[t] * exp(-gamma * r)``, r the Hamming distance at that
-    moment, and sets each element e to 1 iff
-    xj + beta*(xi - xj) + lam*(u - 1/2) - 1/2 >= 0, with u the draw of
-    element e under ``keys[t]``.  The row length picks the formulation.
-    A row of at most ``_PACKED_MOVE_MAX`` entries runs on packed bits
-    (:func:`_move_packed`).  A longer row draws step by step and
-    compares the raw 53-bit draws with the thresholds of
-    :func:`_threshold`: c = beta for a 0 and c = 1 - beta for a 1 that
-    differ from the peer, c = 0 and c = 1 for the elements that agree.
-    Where those last two thresholds let no agreeing element move, as for
-    every lam <= 1, only the differing positions draw.
+    moment.  Element e changes iff its draw under ``keys[t]`` is below
+    :func:`_chance` of beta if it differs from the peer's, of 0 if not.
+
+    A row of at most ``_PACKED_MOVE_MAX`` entries compares every draw of
+    the move in one batch with three thresholds per step: that of an
+    agreeing element, and that of a differing one at both ends of the
+    range of beta.  The steps then run on rows packed into Python ints.
+    The threshold is monotone in beta, so only a differing element whose
+    draw lies between the two ends is compared again, at the exact beta.
+    A longer row draws step by step: only the differing elements, unless
+    agreeing ones can change too (lam > 1).
     """
     if swarm.dtype != np.uint8:
         raise ValueError("move needs a uint8 swarm")
     if swarm.shape[1] <= _PACKED_MOVE_MAX:
-        _move_packed(swarm, j, peers, pull, gamma, lam, keys)
+        e, weight, ends = _packed_constants(swarm.shape[1], float(gamma))
+        z = _draws(np.asarray(keys)[:, None], e)
+        k = _chance(pull[:, None] * ends, lam)
+        masks = ((z[:, None, :] < k[:, :, None]) @ weight).tolist()
+        rows = (swarm @ weight).tolist()
+        x = rows[j]
+        for t, (i, p, (flip, sure, maybe)) in enumerate(
+            zip(peers.tolist(), pull.tolist(), masks)
+        ):
+            d = x ^ rows[i]
+            x ^= (d & sure) | (flip & ~d)
+            open_ = d & maybe & ~sure
+            if open_:
+                k_exact = int(_chance(p * math.exp(-gamma * d.bit_count()), lam))
+                while open_:
+                    bit = open_ & -open_
+                    open_ ^= bit
+                    if z.item(t, bit.bit_length() - 1) < k_exact:
+                        x ^= bit
+        swarm[j] = (x >> e) & 1
         return
     x = swarm[j]
     xb = x.view(np.bool_)  # a binary row; the bool view skips a cast
-    # thresholds of a 0 and a 1 equal to the peer's; for lam <= 1 no draw
-    # moves either, and only the differing elements draw
-    same0, same1 = _threshold(0.0, lam), _threshold(1.0, lam)
-    every = same0 < _NEVER or same1 > 0
+    k_same = int(_chance(0.0, lam))
+    every = np.arange(x.size)
     for i, p, key in zip(peers.tolist(), pull.tolist(), keys.tolist()):
-        b = swarm[i]
-        if every:
-            idx = np.arange(x.size)
-            r = int(np.count_nonzero(x != b))
-        else:
-            idx = np.flatnonzero(x != b)
-            r = idx.size
-            if r == 0:
-                continue
-        beta = p * math.exp(-gamma * r)
-        k0 = _threshold(beta, lam)
-        k1 = _threshold(1.0 - beta, lam)
-        # the 53-bit draws: mix64(key + (e + 1) * golden) >> 11
-        z = idx.view(np.uint64) * _GOLDEN_U64
-        z += np.uint64((key + _GOLDEN) & _MASK64)
-        _mix64_arr(z)
-        z >>= np.uint64(11)
-        z = z.view(np.int64)
-        if every:
-            # threshold of each element by its own bit and its peer's
-            xb[:] = z >= np.array([same0, k0, k1, same1])[(x << 1) | b]
-            continue
-        # an element becomes z >= k1 where it is 1 and z >= k0 where it
-        # is 0: shift the draws of the 1s by k0 - k1, compare with k0
-        z += xb[idx] * np.int64(k0 - k1)
-        xb[idx] = z >= k0
+        d = x != swarm[i]
+        if k_same:
+            k = _chance(p * math.exp(-gamma * np.count_nonzero(d)), lam)
+            xb ^= _draws(key, every) < np.where(d, k, k_same)
+        elif (idx := np.flatnonzero(d)).size:
+            xb[idx] ^= _draws(key, idx) < _chance(p * math.exp(-gamma * idx.size), lam)
 
 
 # placements of fewer entries repair with the fewest numpy calls, larger

@@ -2,9 +2,13 @@
 
 A swarm of feasible placements evolves for a fixed number of
 iterations.  Brighter (lower objective) fireflies attract dimmer ones;
-attraction decays with Hamming distance.  Moves are thresholded to
-binary and immediately visible within the same iteration, so one
-firefly can be pulled by an already-updated peer.  After moving, a
+attraction decays with Hamming distance.  Each pairwise step follows
+the binary firefly law bit by bit: an element that differs from the
+brighter peer takes the peer's value with a chance that grows with the
+attraction, and above ``lambda_rand`` 1 an element that agrees flips
+with a fixed chance (see :mod:`fogcache._kernels`).  Moves are
+immediately visible within the same iteration, so one firefly can be
+pulled by an already-updated peer.  After moving, a
 firefly is repaired to the capacity budget with a popularity-guided
 rule.  The best placement ever seen is kept outside the swarm, so the
 reported history never worsens.

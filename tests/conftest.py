@@ -22,9 +22,11 @@ from fogcache import (
     build_rate_table,
     generate_scenario,
 )
-from fogcache._kernels import _GOLDEN_U64, _INV53, _mix64_arr
+from fogcache._kernels import _draws, mix64
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+GOLDEN = 0x9E3779B97F4A7C15  # the splitmix64 increment of the kernels' draws
 
 # the acceptance tests append one verdict line per gate; echoed at the end
 ACCEPTANCE_LINES: list = []
@@ -59,44 +61,42 @@ def flat_order(prio):
 
 
 def uniform_at(key, idx) -> np.ndarray:
-    """The kernels' uniform [0, 1) draws at the given flat element indices.
-
-    The draw at index e is ``mix64(key + (e + 1) * golden) >> 11``, times
-    2**-53; it depends only on ``(key, e)``.  ``key`` may be an array of
-    keys; it broadcasts against ``idx``.
+    """The kernels' draws at the given flat element indices, as uniforms
+    in [0, 1): the 53-bit draw ``mix64(key + (e + 1) * golden) >> 11`` of
+    index e, times 2**-53.  It depends only on ``(key, e)``.  ``key`` may
+    be an array of keys; it broadcasts against ``idx``.
     """
-    ctr = np.asarray(idx).astype(np.uint64)  # an array, also for 0-d idx
-    ctr += np.uint64(1)
-    ctr *= _GOLDEN_U64
-    ctr = np.asarray(np.asarray(key, dtype=np.uint64) + ctr)
-    return (_mix64_arr(ctr) >> np.uint64(11)).astype(np.float64) * _INV53
+    return _draws(key, idx) * 2.0**-53
 
 
-def pull_rule(c, lam, u):
-    """The move rule in plain floats: c + lam*(u - 1/2) - 1/2 >= 0.
+def law_chances(beta, lam):
+    """The move's per-bit law in plain floats: ``(p, q)``.
 
-    ``c`` is xj + beta*(xi - xj), already rounded; the operations run
-    in this order, each rounded to a double.
+    p is the chance that an element which differs from the peer takes
+    the peer's value, ``clip(1/2 + (beta - 1/2) / lam, 0, 1)``; at
+    lam = 0 it takes iff beta >= 1/2.  q is the chance that an element
+    which agrees with the peer flips, ``max(0, 1/2 - 1/(2 lam))``.
     """
-    arg = c + lam * (u - 0.5)
-    arg = arg - 0.5
-    return arg >= 0.0
+    if lam == 0.0:
+        return (1.0 if beta >= 0.5 else 0.0), 0.0
+    p = min(max(0.5 + (beta - 0.5) / lam, 0.0), 1.0)
+    return p, max(0.0, 0.5 - 1.0 / (2.0 * lam))
 
 
-def scalar_pull(xj, xi, beta, lam, key):
-    """One pairwise firefly step, element by element in plain floats.
+def law_step(xj, xi, beta, lam, key):
+    """One pairwise firefly step by its per-bit law, element by element.
 
-    Element e becomes 1 iff xj + beta*(xi - xj) + lam*(u - 1/2) - 1/2
-    >= 0 with u = uniform_at(key, e).  For lam <= 1 equal elements are
-    left alone, as they can never flip.
+    Element e changes iff its draw ``mix64(key + (e + 1) * golden) >> 11``
+    is below ``int(P * 2**53)``, with P = p where xj and xi differ and
+    P = q where they agree (:func:`law_chances`).  The draws go through
+    the pure-Python :func:`mix64`.
     """
+    p, q = law_chances(beta, lam)
     out = xj.copy()
     for e in range(xj.size):
-        if lam <= 1.0 and xj[e] == xi[e]:
-            continue
-        u = float(uniform_at(key, np.array([e]))[0])
-        a, b = float(xj[e]), float(xi[e])
-        out[e] = 1 if pull_rule(a + beta * (b - a), lam, u) else 0
+        chance = p if xj[e] != xi[e] else q
+        if mix64(key + (e + 1) * GOLDEN) >> 11 < int(chance * 2**53):
+            out[e] ^= 1
     return out
 
 

@@ -17,7 +17,7 @@ from fogcache import (
 )
 from fogcache._kernels import _PACKED_MOVE_MAX, derive_key, get_backend
 
-from conftest import flat_order, make_params, make_rates, make_scenario, scalar_pull
+from conftest import flat_order, law_step, make_params, make_rates, make_scenario
 
 
 # ---------------------------------------------------------------------------
@@ -95,9 +95,10 @@ def test_attractiveness_limits():
 def pull_once(xj, xi, beta, lam, key=7):
     """Move firefly 0 toward firefly 1 with attraction ``beta``.
 
-    The kernel's result is checked against :func:`conftest.scalar_pull`
-    and returned.  The same rows padded with shared zeros past the packed
-    move's cutoff take the other formulation, and must agree.
+    The kernel's result is checked against the per-bit law,
+    :func:`conftest.law_step`, and returned.  The same rows padded with
+    shared zeros past the packed move's cutoff take the other
+    formulation, and must agree.
     """
     keys = np.array([key], dtype=np.uint64)
     out = []
@@ -107,7 +108,7 @@ def pull_once(xj, xi, beta, lam, key=7):
         start = swarm.copy()
         get_backend().move(swarm, 0, np.array([1]), np.array([beta]), 0.0, lam, keys)
         assert np.array_equal(swarm[1], start[1])
-        expected = scalar_pull(start[0], start[1], beta, lam, key)
+        expected = law_step(start[0], start[1], beta, lam, key)
         assert np.array_equal(swarm[0], expected)
         out.append(swarm[0, : xj.size])
     assert np.array_equal(out[0], out[1])
@@ -121,13 +122,14 @@ def test_move_keeps_shared_ones_without_noise():
 
 
 def test_move_threshold_on_beta():
-    xj = np.zeros(1, dtype=np.uint8)
-    xi = np.ones(1, dtype=np.uint8)
-    # argument beta - 1/2: below 0.5 stays, from 0.5 on crosses
-    assert pull_once(xj, xi, 0.2, 0.0)[0] == 0
-    assert pull_once(xj, xi, 0.49, 0.0)[0] == 0
-    assert pull_once(xj, xi, 0.5, 0.0)[0] == 1
-    assert pull_once(xj, xi, 0.6, 0.0)[0] == 1
+    """At lam = 0 an element that differs from its peer takes the peer's
+    value iff beta >= 1/2, a 0 and a 1 alike: the law's p is 1 from
+    beta = 1/2 on and 0 below, so the tie at 1/2 takes."""
+    for xj in (0, 1):
+        a = np.array([xj], dtype=np.uint8)
+        b = 1 - a
+        for beta, takes in ((0.2, False), (0.49, False), (0.5, True), (0.6, True)):
+            assert pull_once(a, b, beta, 0.0)[0] == (1 - xj if takes else xj)
 
 
 def test_move_identity_when_inert():
@@ -308,7 +310,8 @@ def test_run_fa_deterministic_per_seed(small_instance):
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0], ids="element-{}".format)
 def test_run_fa_draws_follow_the_counter_stream(monkeypatch, small_instance, lam):
     """Each pairwise step of iteration q, firefly j and peer i uses key
-    derive_key(seed, 0xF2, q, j, i) and draws uniform_at(key, e)."""
+    derive_key(seed, 0xF2, q, j, i) and follows the per-bit law with the
+    draws of that key."""
     scn, rates = small_instance
     part = Partition.from_labels([0, 0, 1])
     cfg = FaConfig(population=10, max_iters=6, lambda_rand=lam, seed=17)
@@ -329,7 +332,7 @@ def test_run_fa_draws_follow_the_counter_stream(monkeypatch, small_instance, lam
             assert int(keys[t]) == key
             r = int(np.count_nonzero(expected != rows[i]))
             beta = attractiveness(float(pull[t]), float(r), gamma)
-            expected = scalar_pull(expected, rows[i], beta, lam_, key)
+            expected = law_step(expected, rows[i], beta, lam_, key)
             steps.append((q, j, int(i)))
         real.move(rows, j, peers, pull, gamma, lam_, keys)
         assert np.array_equal(rows[j], expected)

@@ -1,19 +1,20 @@
 """Counter-based RNG and the numpy kernels.
 
 The RNG vectors are checked against the published splitmix64 reference
-sequence for seed 0, and the move kernel against its element-by-element
-definition on rows on both sides of the length that picks its
-formulation.  The integer thresholds of the move are checked against
-the float rule, and both kernels against their float pipelines on
-full-scale swarms.  The repair kernel and the evaluator's surcharge
-tables are also checked against their scalar references in
-test_firefly.py and test_cache.py.
+sequence for seed 0.  The move kernel is checked against its per-bit
+law, element by element in pure Python, on rows on both sides of the
+length that picks its formulation: at keys that draw exactly one below
+and at each threshold, and in frequency over many keys.  Both kernels
+are checked against dense references on full-scale swarms.  The repair
+kernel and the evaluator's surcharge tables are also checked against
+their scalar references in test_firefly.py and test_cache.py.
 """
 
 import dataclasses
 import itertools
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,7 @@ from fogcache import (
 from fogcache._kernels import (
     _PACKED_MOVE_MAX,
     _SPARSE_REPAIR_MIN,
-    _threshold,
+    _chance,
     derive_key,
     fold_keys,
     get_backend,
@@ -38,11 +39,10 @@ from fogcache._kernels import (
 )
 from fogcache.config import load_config
 
-from conftest import flat_order, pull_rule, scalar_pull, uniform_at
+from conftest import GOLDEN, flat_order, law_chances, law_step, uniform_at
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-GOLDEN = 0x9E3779B97F4A7C15
 MASK = (1 << 64) - 1
 
 # splitmix64 seeded with 0 emits finalize(k * GOLDEN) at step k; the
@@ -152,7 +152,7 @@ def test_get_backend_numpy_always_available():
 
 
 # ---------------------------------------------------------------------------
-# the numpy move against its element-by-element definition
+# the numpy move against its per-bit law, element by element
 
 
 # row lengths on both sides of the packed move's cutoff, and at it
@@ -161,7 +161,7 @@ MOVE_WIDTHS = (40, 63, 64, 100)
 
 def test_move_cutoff_lies_between_the_benchmark_shapes():
     """The small config and the verify cell take the packed move, and
-    full scale the threshold steps, so each formulation has a workload
+    full scale the step-by-step one, so each formulation has a workload
     and the tests check both at the edge."""
     assert MOVE_WIDTHS[1] == _PACKED_MOVE_MAX < MOVE_WIDTHS[2]
     small = load_config(str(CONFIGS / "small.yaml")).system
@@ -186,6 +186,8 @@ def _move_case(rng, trial, n=40, population=7):
 # the "True-" ids mark per-element draws, the move's one draw scope
 @pytest.mark.parametrize("lam", [0.0, 0.5, 1.0, 1.7, 3.0], ids="True-{}".format)
 def test_move_matches_scalar_rule(lam):
+    """Four steps of the move on random swarms equal four steps of the
+    per-bit law, with the Hamming distance taken before each step."""
     rng = np.random.default_rng(5)
     be = get_backend()
     for trial in range(20 * len(MOVE_WIDTHS)):
@@ -196,7 +198,7 @@ def test_move_matches_scalar_rule(lam):
         for t, i in enumerate(peers):
             r = int(np.count_nonzero(expected != swarm[i]))
             beta = float(pull[t]) * math.exp(-gamma * r)
-            expected = scalar_pull(expected, swarm[i], beta, lam, int(keys[t]))
+            expected = law_step(expected, swarm[i], beta, lam, int(keys[t]))
         others = np.delete(swarm, 0, axis=0)
         be.move(swarm, 0, peers, pull, gamma, lam, keys)
         assert np.array_equal(swarm[0], expected)
@@ -204,7 +206,7 @@ def test_move_matches_scalar_rule(lam):
 
 
 # ---------------------------------------------------------------------------
-# the integer thresholds of the sparse move against the float rule
+# the integer thresholds of the law
 
 NEVER = 1 << 53
 BETAS = [
@@ -219,40 +221,34 @@ BETAS = [
 LAMS = [0.0, 1e-300, 0.5, 1.0, 1.7, 3.0]
 
 
-class CountingFloat(float):
-    """A float that counts the additions it makes as a left operand.
-
-    As ``c`` of :func:`_threshold`, one addition is one check of the rule.
-    """
-
-    adds = 0
-
-    def __add__(self, other):
-        CountingFloat.adds += 1
-        return float(self) + other
+def law_threshold(beta, lam, differ=True):
+    """``int(P * 2**53)`` of the law's p (a differing element) or q."""
+    p, q = law_chances(beta, lam)
+    return int((p if differ else q) * NEVER)
 
 
 @pytest.mark.parametrize("lam", LAMS)
 @pytest.mark.parametrize("beta", BETAS, ids=repr)
 def test_threshold_is_exact(beta, lam):
-    """The rule holds at K and every draw above, and fails at K - 1 and
-    every draw below; the search makes a bounded number of checks and
-    never converts an infinite guess to an integer."""
-    for c in (0.0, beta, 1.0 - beta, 1.0):
-        CountingFloat.adds = 0
-        k = _threshold(CountingFloat(c), lam)
-        assert CountingFloat.adds <= 110, (c, lam, CountingFloat.adds)
-        assert 0 <= k <= NEVER
-        if k < NEVER:
-            for above in (k, k + 1, NEVER - 1):
-                assert pull_rule(c, lam, min(above, NEVER - 1) * 2.0**-53), (c, lam, k)
-        if k > 0:
-            for below in (k - 1, 0):
-                assert not pull_rule(c, lam, below * 2.0**-53), (c, lam, k)
+    """The kernel's threshold is ``int(P * 2**53)`` of the law's p at
+    beta and q at beta = 0, as a float and within an array, and lies
+    within 4 of the exact rational chance times 2**53.  At lam = 0 a
+    step takes its peer's value iff beta >= 1/2."""
+    half = Fraction(1, 2)
+    exact = Fraction(1 if beta >= 0.5 else 0)
+    if lam > 0.0:
+        exact = min(max(half + (Fraction(beta) - half) / Fraction(lam), 0), 1)
+    k = int(_chance(beta, lam))
+    assert k == law_threshold(beta, lam)
+    assert _chance(np.array([0.0, beta]), lam).tolist() == [int(_chance(0.0, lam)), k]
+    assert int(_chance(0.0, lam)) == law_threshold(beta, lam, differ=False)
+    assert 0 <= k <= NEVER and abs(k - exact * NEVER) <= 4, (k, float(exact))
+    if lam == 0.0:
+        assert k == (NEVER if beta >= 0.5 else 0)
 
 
 def test_move_rejects_a_non_byte_swarm():
-    """The threshold steps read rows through a bool view, which only a
+    """The step-by-step move reads rows through a bool view, which only a
     one-byte swarm has: the move raises instead of reading the wrong
     bytes, on rows of either formulation."""
     keys = np.array([7], dtype=np.uint64)
@@ -293,20 +289,22 @@ def test_unmix64_inverts_mix64():
 @pytest.mark.parametrize("lam", LAMS)
 @pytest.mark.parametrize("beta", BETAS, ids=repr)
 def test_move_decides_draws_at_the_threshold(beta, lam):
-    """Keys built to draw exactly K and K - 1 at the flipping element,
-    the last of a row of either formulation: the kernel agrees with the
-    float rule on both sides of the edge.  With gamma > 0 and one
-    differing element the step's beta lies inside the range the packed
-    move decides at its ends; with every element differing it is the
-    lower end."""
+    """Keys built to draw exactly K - 1 and K at the last element of a
+    row of 2, 63 or 64 entries: the element changes at K - 1 and keeps
+    its value at K, K its threshold.  The element differs from the
+    peer's alone, with every other element, or agrees with it.  With
+    gamma > 0 and one differing element the step's beta lies inside the
+    range the packed move compares at its ends; with every element
+    differing it is the lower end."""
     be = get_backend()
     for n, gamma, xj, differ in itertools.product(
-        (2, _PACKED_MOVE_MAX, _PACKED_MOVE_MAX + 1), (0.0, 0.2), (0, 1), ("one", "all")
+        (2, _PACKED_MOVE_MAX, _PACKED_MOVE_MAX + 1), (0.0, 0.2), (0, 1),
+        ("one", "all", "none"),
     ):
         e = n - 1
-        r = 1 if differ == "one" else n
+        r = {"one": 1, "all": n, "none": 0}[differ]
         step_beta = beta * math.exp(-gamma * r)
-        k_edge = _threshold(step_beta if xj == 0 else 1.0 - step_beta, lam)
+        k_edge = law_threshold(step_beta, lam, differ != "none")
         for k in {k_edge - 1, k_edge}:
             if not 0 <= k < NEVER:
                 continue
@@ -314,51 +312,56 @@ def test_move_decides_draws_at_the_threshold(beta, lam):
             start = np.ones((2, n), dtype=np.uint8)
             start[:, : e // 2] = 0
             start[:, n - r :] = [[xj], [1 - xj]]
+            start[:, e] = [xj, xj if differ == "none" else 1 - xj]
             swarm = start.copy()
             keys = np.array([key], dtype=np.uint64)
             be.move(swarm, 0, np.array([1]), np.array([beta]), gamma, lam, keys)
-            expected = scalar_pull(start[0], start[1], step_beta, lam, key)
+            expected = law_step(start[0], start[1], step_beta, lam, key)
             assert swarm[0].tolist() == expected.tolist(), (n, gamma, differ, xj, k, k_edge)
-            assert swarm[0, e] == (k >= k_edge)
+            assert swarm[0, e] == xj ^ (k < k_edge)
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.0])
+def test_move_follows_the_law_in_frequency(lam):
+    """On rows of either formulation, over 400 keys and half the
+    elements differing from the peer's, the share of differing elements
+    that take the peer's value is within 5 binomial standard deviations
+    (plus 1e-3) of p, and the share of agreeing elements that flip is
+    within as much of q."""
+    be = get_backend()
+    count = 400
+    for n, beta in itertools.product((40, 100), (0.2, 0.5, 0.8)):
+        start = np.zeros((2, n), dtype=np.uint8)
+        start[1, ::2] = 1  # even elements differ, odd ones agree
+        took = flipped = 0
+        for key in fold_keys(derive_key(13, n), np.arange(count)).tolist():
+            swarm = start.copy()
+            keys = np.array([key], dtype=np.uint64)
+            be.move(swarm, 0, np.array([1]), np.array([beta]), 0.0, lam, keys)
+            took += int(swarm[0, ::2].sum())
+            flipped += int(swarm[0, 1::2].sum())
+        for seen, chance in zip((took, flipped), law_chances(beta, lam)):
+            trials = count * n // 2
+            bound = 5.0 * math.sqrt(chance * (1.0 - chance) / trials) + 1e-3
+            assert abs(seen / trials - chance) <= bound, (n, beta, lam, seen, chance)
 
 
 # ---------------------------------------------------------------------------
-# both kernels against their float pipelines, on full-size swarms
+# both kernels against dense references, on full-size swarms
 
 
 def reference_move(swarm, j, peers, pull, gamma, lam, keys):
-    """The move as a float pipeline: over the differing elements for
-    lam <= 1, where no other element can move, and over whole rows beyond."""
-    if lam > 1.0:
-        dense_reference_move(swarm, j, peers, pull, gamma, lam, keys)
-        return
+    """The move as a float pipeline over whole rows, every step drawn up
+    front: element e changes iff its uniform draw lies below its chance,
+    p or q, rounded down to a multiple of 2**-53."""
     x = swarm[j]
+    draws = uniform_at(keys[:, None], np.arange(x.size))
     for t, i in enumerate(peers):
-        b = swarm[i]
-        idx = np.flatnonzero(x != b)
-        if idx.size == 0:
-            continue
-        beta = pull[t] * math.exp(-gamma * idx.size)
-        a = x[idx].astype(np.float64)
-        arg = a + beta * (b[idx] - a)
-        arg = arg + lam * (uniform_at(keys[t], idx) - 0.5)
-        arg = arg - 0.5
-        x[idx] = arg >= 0.0
-
-
-def dense_reference_move(swarm, j, peers, pull, gamma, lam, keys):
-    """The move as the float rule over whole rows, every step drawn up front."""
-    x = swarm[j]
-    noise = lam * (uniform_at(keys[:, None], np.arange(x.size)) - 0.5)
-    a = x.astype(np.float64)
-    for b, n, p in zip(swarm[peers].astype(np.float64), noise, pull.tolist()):
-        d = b - a
-        beta = p * math.exp(-gamma * np.count_nonzero(d))
-        arg = a + beta * d
-        arg += n
-        arg -= 0.5
-        a = (arg >= 0.0).astype(np.float64)
-    x[:] = a
+        d = x != swarm[i]
+        beta = pull[t] * math.exp(-gamma * np.count_nonzero(d))
+        p, q = law_chances(beta, lam)
+        chance = np.floor(np.where(d, p, q) * 2.0**53) * 2.0**-53
+        x ^= draws[t] < chance
 
 
 def reference_repair(x, flat, slots):
