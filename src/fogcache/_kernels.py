@@ -18,15 +18,21 @@ The move is the binary firefly step as its per-bit law.  An element
 that differs from the brighter peer takes the peer's value with chance
 ``p = clip(1/2 + (beta - 1/2) / lam, 0, 1)``; one that agrees flips
 with chance ``q = max(0, 1/2 - 1/(2 lam))``.  An element changes iff
-its draw is below ``int(P * 2**53)``, P its p or q.  The row length
-alone picks the move's formulation (:func:`_move_np`); both make that
-integer comparison, so they agree bit for bit.
+its draw is below ``int(P * 2**53)``, P its p or q.  The move has two
+formulations that make that integer comparison, so they agree bit for
+bit: :func:`_move_np` steps numpy rows, and :func:`_move_packed` steps
+rows packed into Python ints, with the draws and thresholds of a whole
+batch of steps made up front by :func:`_step_batch`.  The optimizer
+keeps a placement of at most ``_PACKED_MOVE_MAX`` entries packed for
+its whole search.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -46,6 +52,7 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _NEVER = 1 << 53  # one past the largest 53-bit draw
+_NORMAL_MIN = sys.float_info.min  # the least positive normal float
 
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MIX1_U64 = np.uint64(_MIX1)
@@ -147,28 +154,83 @@ def _chance(beta, lam: float):
     with its peer.  Monotone in beta, also as rounded.
     """
     if lam > 0.0:
-        p = np.minimum(np.maximum(0.5 + (beta - 0.5) / lam, 0.0), 1.0)
+        # for beta in [0, 1] the quotient overflows to inf only at a
+        # subnormal lam, where P rightly clips to 0 or 1; only there is
+        # the warning silenced, as errstate costs microseconds a call
+        quiet = np.errstate(over="ignore") if lam < _NORMAL_MIN else contextlib.nullcontext()
+        with quiet:
+            p = np.minimum(np.maximum(0.5 + (beta - 0.5) / lam, 0.0), 1.0)
     else:
         p = np.greater_equal(beta, 0.5).astype(np.float64)
     return (p * _NEVER).astype(np.int64)
 
 
-# a row of at most this many entries packs into the 63 value bits of one
-# int64, so the whole move of a short row runs on Python ints
+# a placement of at most this many entries packs into the 63 value bits
+# of one int64, so the whole search of a short placement runs on Python
+# ints (see :func:`_step_batch`)
 _PACKED_MOVE_MAX = 63
 
 
 @functools.lru_cache(maxsize=16)
 def _packed_constants(n: int, gamma: float) -> tuple:
     """Element ids and bit weights ``2**e`` of n-entry rows, and the
-    factors of a step's pull that give 0 and the two ends of its beta:
-    the least and the largest ``exp(-gamma * r)`` over r in [0, n]."""
+    factors of a step's pull: ``exp(-gamma * r)`` at distance r for r in
+    [0, n], then 0, the factor of an element that agrees."""
     e = np.arange(n)
-    spread = [math.exp(-gamma * r) for r in range(n + 1)]
-    out = (e, np.left_shift(1, e), np.array([0.0, min(spread), max(spread)]))
+    factor = [math.exp(-gamma * r) for r in range(n + 1)] + [0.0]
+    out = (e, np.left_shift(1, e), np.array(factor))
     for a in out:
         a.flags.writeable = False
     return out
+
+
+def _step_batch(keys: np.ndarray, pull: np.ndarray, n: int, gamma: float,
+                lam: float) -> tuple:
+    """Draws, thresholds and masks of a batch of pairwise steps on packed
+    n-entry rows, step t under ``keys[t]`` with pull ``pull[t]``.
+
+    Returns the (steps, n) draws; the (steps, n + 2) thresholds, column
+    r the :func:`_chance` of beta ``pull[t] * exp(-gamma * r)`` at
+    distance r and column n + 1 that of an element that agrees; and per
+    step the packed masks (flip, sure, maybe) of the elements whose draw
+    lies below the threshold of an agreeing element, and of a differing
+    one at the least and the largest beta.  :func:`_move_packed` takes
+    them, one slice of steps per firefly.
+    """
+    e, weight, factor = _packed_constants(n, float(gamma))
+    z = _draws(np.asarray(keys)[:, None], e)
+    k = _chance(np.asarray(pull)[:, None] * factor, lam)
+    # gamma >= 0: beta is least at distance n and largest at distance 0
+    ends = k[:, [n + 1, n, 0]]
+    masks = ((z[:, None, :] < ends[:, :, None]) @ weight).tolist()
+    return z, k, masks
+
+
+def _move_packed(x: int, peers: list, masks: list, z: np.ndarray,
+                 k: np.ndarray) -> int:
+    """Packed row x pulled toward each packed row ``peers[t]`` in turn.
+
+    Step t reads row t of the draws ``z``, the thresholds ``k`` and the
+    ``masks`` of :func:`_step_batch`: an element changes iff it differs
+    from the peer and its draw is below ``k[t, r]``, r the Hamming
+    distance at that moment, or it agrees and its draw is below
+    ``k[t, n + 1]``.  The threshold is monotone in beta, so the masks
+    decide every element but a differing one whose draw lies between
+    the thresholds at the two ends of the range of beta; only those are
+    compared again, at distance r.
+    """
+    for t, (xi, (flip, sure, maybe)) in enumerate(zip(peers, masks)):
+        d = x ^ xi
+        x ^= (d & sure) | (flip & ~d)
+        open_ = d & maybe & ~sure
+        if open_:
+            k_exact = k.item(t, d.bit_count())
+            while open_:
+                bit = open_ & -open_
+                open_ ^= bit
+                if z.item(t, bit.bit_length() - 1) < k_exact:
+                    x ^= bit
+    return x
 
 
 def _move_np(swarm: np.ndarray, j: int, peers: np.ndarray, pull: np.ndarray,
@@ -179,40 +241,11 @@ def _move_np(swarm: np.ndarray, j: int, peers: np.ndarray, pull: np.ndarray,
     ``beta = pull[t] * exp(-gamma * r)``, r the Hamming distance at that
     moment.  Element e changes iff its draw under ``keys[t]`` is below
     :func:`_chance` of beta if it differs from the peer's, of 0 if not.
-
-    A row of at most ``_PACKED_MOVE_MAX`` entries compares every draw of
-    the move in one batch with three thresholds per step: that of an
-    agreeing element, and that of a differing one at both ends of the
-    range of beta.  The steps then run on rows packed into Python ints.
-    The threshold is monotone in beta, so only a differing element whose
-    draw lies between the two ends is compared again, at the exact beta.
-    A longer row draws step by step: only the differing elements, unless
+    The steps draw one at a time: only the differing elements, unless
     agreeing ones can change too (lam > 1).
     """
     if swarm.dtype != np.uint8:
         raise ValueError("move needs a uint8 swarm")
-    if swarm.shape[1] <= _PACKED_MOVE_MAX:
-        e, weight, ends = _packed_constants(swarm.shape[1], float(gamma))
-        z = _draws(np.asarray(keys)[:, None], e)
-        k = _chance(pull[:, None] * ends, lam)
-        masks = ((z[:, None, :] < k[:, :, None]) @ weight).tolist()
-        rows = (swarm @ weight).tolist()
-        x = rows[j]
-        for t, (i, p, (flip, sure, maybe)) in enumerate(
-            zip(peers.tolist(), pull.tolist(), masks)
-        ):
-            d = x ^ rows[i]
-            x ^= (d & sure) | (flip & ~d)
-            open_ = d & maybe & ~sure
-            if open_:
-                k_exact = int(_chance(p * math.exp(-gamma * d.bit_count()), lam))
-                while open_:
-                    bit = open_ & -open_
-                    open_ ^= bit
-                    if z.item(t, bit.bit_length() - 1) < k_exact:
-                        x ^= bit
-        swarm[j] = (x >> e) & 1
-        return
     x = swarm[j]
     xb = x.view(np.bool_)  # a binary row; the bool view skips a cast
     k_same = int(_chance(0.0, lam))

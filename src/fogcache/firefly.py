@@ -13,6 +13,13 @@ firefly is repaired to the capacity budget with a popularity-guided
 rule.  The best placement ever seen is kept outside the swarm, so the
 reported history never worsens.
 
+A placement of at most ``_PACKED_MOVE_MAX`` (63) entries is searched on
+packed ints: each firefly stays one Python int for the whole run, the
+steps of a block of fireflies draw in one batch, and the repair of a
+row and the score of a placement are each computed once per run and
+looked up after that.  Longer placements move as uint8 matrices through
+the numpy kernels.  Both forms give the same result, bit for bit.
+
 All randomness inside the main loop is counter-based: the draw for
 (iteration q, firefly j, peer i, element e) is the draw of element e
 under the key ``derive_key(seed, 0xF2, q, j, i)``.  That makes runs
@@ -29,7 +36,16 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ._kernels import derive_key, fold_keys, get_backend, rng_for
+from ._kernels import (
+    _PACKED_MOVE_MAX,
+    _move_packed,
+    _packed_constants,
+    _step_batch,
+    derive_key,
+    fold_keys,
+    get_backend,
+    rng_for,
+)
 from .cache import EvalResult, Partition, PlacementEvaluator, feasible
 from .radio import LinkRateTable
 from .scenario import Scenario, capacity_slots, require_int
@@ -117,6 +133,136 @@ def _initial_swarm(
     return swarm
 
 
+# a draw batch covers the fireflies of one block, at most this many
+# (firefly, peer) steps unless one firefly alone has more peers
+_BATCH_STEPS = 2048
+
+
+class _Swarm:
+    """The fireflies of one run: moved, repaired and scored by index.
+
+    ``snapshot(j)`` holds firefly j's placement in the swarm's own form
+    and ``placement`` turns a snapshot into a uint8 (M, F) matrix.
+    """
+
+    def __init__(self, evaluator, slots, config):
+        self.be = get_backend()
+        self.evaluator = evaluator
+        self.params = evaluator.scenario.params
+        self.slots = slots
+        self.config = config
+
+    def _check(self, x):
+        if not feasible(x, self.params):
+            raise AssertionError("swarm left the capacity region")
+
+
+class _MatrixSwarm(_Swarm):
+    """Fireflies as uint8 placements, moved and repaired by the numpy
+    kernels: the swarm of placements of more than ``_PACKED_MOVE_MAX``
+    entries."""
+
+    def __init__(self, swarm, evaluator, slots, config):
+        super().__init__(evaluator, slots, config)
+        self.swarm = swarm
+        self.rows = swarm.reshape(len(swarm), -1)
+        # the repair takes the priority order as flat indices into a placement
+        n_rows, n_cols = swarm.shape[1:]
+        self.prio = evaluator.scenario.priority + n_cols * np.arange(n_rows)[:, None]
+        for x in swarm:
+            self.be.repair(x, self.prio, self.slots)
+        self._check(swarm.reshape(-1, n_cols))
+
+    def move(self, block, brighter, intensity, keys):
+        """Move and repair each firefly of ``block`` in turn, toward the
+        fireflies that ``brighter`` marks in its row."""
+        cfg = self.config
+        for j, row in zip(block.tolist(), brighter):
+            pj = np.flatnonzero(row)
+            self.be.move(self.rows, j, pj, intensity[pj], cfg.gamma,
+                         cfg.lambda_rand, keys[j, pj])
+            self.be.repair(self.swarm[j], self.prio, self.slots)
+        self._check(self.swarm.reshape(-1, self.swarm.shape[2]))
+
+    def score(self, j):
+        return self.evaluator.evaluate(self.swarm[j])
+
+    def snapshot(self, j):
+        return self.swarm[j].copy()
+
+    def placement(self, snapshot):
+        return snapshot
+
+
+class _PackedSwarm(_Swarm):
+    """Fireflies as Python ints, bit ``m * F + f`` the entry (m, f): the
+    swarm of placements of at most ``_PACKED_MOVE_MAX`` entries.
+
+    A block's moves share their numpy calls: the draws and thresholds of
+    every step of the block come from one :func:`_step_batch`.  The repair
+    looks each row up by its code, and the score each placement by its
+    code; a miss runs the repair kernel on that row, or the evaluator on
+    that placement, and keeps the result for the rest of the run.
+    """
+
+    def __init__(self, swarm, evaluator, slots, config):
+        super().__init__(evaluator, slots, config)
+        self.shape = swarm.shape[1:]
+        self.e, self.weight, _ = _packed_constants(swarm[0].size, config.gamma)
+        self.row_bits = (1 << self.shape[1]) - 1
+        self.fixed = [{} for _ in range(self.shape[0])]  # row code -> repaired
+        self.scores = {}  # placement code -> EvalResult
+        codes = (swarm.reshape(len(swarm), -1) @ self.weight).tolist()
+        self.codes = [self._repair(x) for x in codes]
+
+    def _repair(self, x):
+        n_cols = self.shape[1]
+        out = 0
+        for m, fixed in enumerate(self.fixed):
+            row = (x >> (m * n_cols)) & self.row_bits
+            done = fixed.get(row)
+            if done is None:
+                r = ((row >> self.e[:n_cols]) & 1).astype(np.uint8)[None, :]
+                # a one-row placement: its priority order is row m's
+                self.be.repair(r, self.evaluator.scenario.priority[m:m + 1], self.slots)
+                self._check(r)
+                done = fixed[row] = int(r[0] @ self.weight[:n_cols])
+            out |= done << (m * n_cols)
+        return out
+
+    def move(self, block, brighter, intensity, keys):
+        """Move and repair each firefly of ``block`` in turn, toward the
+        fireflies that ``brighter`` marks in its row."""
+        # the steps of the block, firefly by firefly, peers in index order
+        row, peer = np.nonzero(brighter)
+        z, k, masks = _step_batch(
+            keys[block[row], peer], intensity[peer],
+            self.e.size, self.config.gamma, self.config.lambda_rand,
+        )
+        ends = np.cumsum(np.count_nonzero(brighter, axis=1)).tolist()
+        peer = peer.tolist()
+        codes = self.codes
+        t = 0
+        for j, u in zip(block.tolist(), ends):
+            x = _move_packed(codes[j], [codes[i] for i in peer[t:u]],
+                             masks[t:u], z[t:u], k[t:u])
+            codes[j] = self._repair(x)
+            t = u
+
+    def score(self, j):
+        x = self.codes[j]
+        result = self.scores.get(x)
+        if result is None:
+            result = self.scores[x] = self.evaluator.evaluate(self.placement(x))
+        return result
+
+    def snapshot(self, j):
+        return self.codes[j]
+
+    def placement(self, snapshot):
+        return ((snapshot >> self.e) & 1).astype(np.uint8).reshape(self.shape)
+
+
 def run_fa(
     scenario: Scenario,
     rates: LinkRateTable,
@@ -127,29 +273,25 @@ def run_fa(
     if config is None:
         config = FaConfig()
     params = scenario.params
-    be = get_backend()
     evaluator = PlacementEvaluator(scenario, rates, partition)
     slots = capacity_slots(params)
-    # the repair takes the priority order as flat indices into a placement
-    prio = scenario.priority + params.num_contents * np.arange(params.num_faps)[:, None]
-
-    swarm = np.stack(
-        _initial_swarm(scenario, slots, config.population, config.seed)
+    packed = params.num_faps * params.num_contents <= _PACKED_MOVE_MAX
+    swarm = (_PackedSwarm if packed else _MatrixSwarm)(
+        np.stack(_initial_swarm(scenario, slots, config.population, config.seed)),
+        evaluator, slots, config,
     )
-    for x in swarm:
-        be.repair(x, prio, slots)
-    evals = [evaluator.evaluate(x) for x in swarm]
+    evals = [swarm.score(j) for j in range(config.population)]
     objectives = np.asarray([e.objective for e in evals])
 
     best_idx = int(np.argmin(objectives))
     best_eval = evals[best_idx]
-    best_matrix = swarm[best_idx].copy()
+    best = swarm.snapshot(best_idx)
     history: List[Tuple[float, float, float]] = [
         (best_eval.objective, best_eval.delay, best_eval.energy)
     ]
 
-    rows = swarm.reshape(config.population, -1)
     ids = np.arange(config.population)
+    per_block = max(1, _BATCH_STEPS // config.population)
     for q in range(config.max_iters):
         intensity = brightness_normalize(objectives)
         keys = fold_keys(
@@ -157,26 +299,23 @@ def run_fa(
         )
         # a firefly with no brighter peer stays put: it stays repaired,
         # and its unchanged objective cannot beat the incumbent
-        moved = np.flatnonzero(intensity < intensity.max()).tolist()
-        for j in moved:
-            peers = np.flatnonzero(intensity > intensity[j])
-            be.move(rows, j, peers, intensity[peers], config.gamma,
-                    config.lambda_rand, keys[j, peers])
-            be.repair(swarm[j], prio, slots)
-        for j in moved:
-            evals[j] = evaluator.evaluate(swarm[j])
+        moved = np.flatnonzero(intensity < intensity.max())
+        for b in range(0, moved.size, per_block):
+            block = moved[b:b + per_block]
+            # brighter[t, i]: firefly i pulls firefly block[t]
+            swarm.move(block, intensity[block, None] < intensity, intensity, keys)
+        for j in moved.tolist():
+            evals[j] = swarm.score(j)
             objectives[j] = evals[j].objective
             if objectives[j] < best_eval.objective:
                 best_eval = evals[j]
-                best_matrix = swarm[j].copy()
-        if not feasible(swarm.reshape(-1, params.num_contents), params):
-            raise AssertionError("swarm left the capacity region")
+                best = swarm.snapshot(j)
         history.append((best_eval.objective, best_eval.delay, best_eval.energy))
 
     return FaResult(
-        best_matrix=best_matrix,
+        best_matrix=swarm.placement(best),
         best_eval=best_eval,
         history=history,
         iterations=config.max_iters,
-        population=list(swarm),
+        population=[swarm.placement(swarm.snapshot(j)) for j in range(config.population)],
     )

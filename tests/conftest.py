@@ -22,7 +22,7 @@ from fogcache import (
     build_rate_table,
     generate_scenario,
 )
-from fogcache._kernels import _draws, mix64
+from fogcache._kernels import _draws, _move_packed, _step_batch, mix64
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -98,6 +98,20 @@ def law_step(xj, xi, beta, lam, key):
         if mix64(key + (e + 1) * GOLDEN) >> 11 < int(chance * 2**53):
             out[e] ^= 1
     return out
+
+
+def packed_move(swarm, j, peers, pull, gamma, lam, keys):
+    """The move of the optimizer's packed search, on the move kernel's
+    arguments: pack the rows of ``swarm`` (at most 63 entries) into
+    ints, draw every step in one :func:`_step_batch`, run the step loop
+    :func:`_move_packed` and write the result back to ``swarm[j]``."""
+    if swarm.dtype != np.uint8:
+        raise ValueError("move needs a uint8 swarm")
+    weight = np.left_shift(1, np.arange(swarm.shape[1]))
+    rows = (swarm @ weight).tolist()
+    z, k, masks = _step_batch(keys, pull, swarm.shape[1], gamma, lam)
+    x = _move_packed(rows[j], [rows[i] for i in peers.tolist()], masks, z, k)
+    swarm[j] = (x >> np.arange(swarm.shape[1])) & 1
 
 
 def users_of(scenario: Scenario, m: int) -> np.ndarray:

@@ -259,7 +259,7 @@ def test_feasibility():
         "feasibility",
         ok,
         f"capacity respected by {checked} baseline/firefly placements; "
-        "run_fa also asserts it after every iteration and no run raised",
+        "run_fa also asserts it after every repair and no run raised",
     )
 
 

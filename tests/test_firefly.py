@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,12 +13,25 @@ from fogcache import (
     Partition,
     PlacementEvaluator,
     brightness_normalize,
+    build_rate_table,
+    build_social_graph,
+    capacity_slots,
     feasible,
+    generate_scenario,
+    load_config,
     run_fa,
+    run_hcg,
 )
 from fogcache._kernels import _PACKED_MOVE_MAX, derive_key, get_backend
 
-from conftest import flat_order, law_step, make_params, make_rates, make_scenario
+from conftest import (
+    flat_order,
+    law_step,
+    make_params,
+    make_rates,
+    make_scenario,
+    packed_move,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -95,24 +109,19 @@ def test_attractiveness_limits():
 def pull_once(xj, xi, beta, lam, key=7):
     """Move firefly 0 toward firefly 1 with attraction ``beta``.
 
-    The kernel's result is checked against the per-bit law,
-    :func:`conftest.law_step`, and returned.  The same rows padded with
-    shared zeros past the packed move's cutoff take the other
-    formulation, and must agree.
+    The move kernel and the packed search's step loop each move it; both
+    results are checked against the per-bit law,
+    :func:`conftest.law_step`, and the law's row is returned.
     """
     keys = np.array([key], dtype=np.uint64)
-    out = []
-    for width in (xj.size, max(xj.size, _PACKED_MOVE_MAX + 1)):
-        swarm = np.zeros((2, width), dtype=np.uint8)
-        swarm[:, : xj.size] = [xj, xi]
-        start = swarm.copy()
-        get_backend().move(swarm, 0, np.array([1]), np.array([beta]), 0.0, lam, keys)
+    start = np.stack([xj, xi]).astype(np.uint8)
+    expected = law_step(start[0], start[1], beta, lam, key)
+    for move in (get_backend().move, packed_move):
+        swarm = start.copy()
+        move(swarm, 0, np.array([1]), np.array([beta]), 0.0, lam, keys)
         assert np.array_equal(swarm[1], start[1])
-        expected = law_step(start[0], start[1], beta, lam, key)
-        assert np.array_equal(swarm[0], expected)
-        out.append(swarm[0, : xj.size])
-    assert np.array_equal(out[0], out[1])
-    return out[0]
+        assert np.array_equal(swarm[0], expected), move
+    return expected
 
 
 def test_move_keeps_shared_ones_without_noise():
@@ -311,11 +320,17 @@ def test_run_fa_deterministic_per_seed(small_instance):
 def test_run_fa_draws_follow_the_counter_stream(monkeypatch, small_instance, lam):
     """Each pairwise step of iteration q, firefly j and peer i uses key
     derive_key(seed, 0xF2, q, j, i) and follows the per-bit law with the
-    draws of that key."""
+    draws of that key.
+
+    Checked where the packed search moves a block of fireflies: each one
+    in turn is pulled by every brighter firefly, then repaired, and the
+    swarm after the block must equal that.
+    """
     scn, rates = small_instance
     part = Partition.from_labels([0, 0, 1])
     cfg = FaConfig(population=10, max_iters=6, lambda_rand=lam, seed=17)
-    real = get_backend()
+    slots = capacity_slots(scn.params)
+    real = firefly._PackedSwarm.move
     fold = firefly.fold_keys
     iteration = [-1]
     steps = []
@@ -324,30 +339,125 @@ def test_run_fa_draws_follow_the_counter_stream(monkeypatch, small_instance, lam
         iteration[0] += 1  # called once per iteration
         return fold(*args)
 
-    def checked_move(rows, j, peers, pull, gamma, lam_, keys):
+    def checked_move(swarm, block, brighter, intensity, keys):
         q = iteration[0]
-        expected = rows[j].copy()
-        for t, i in enumerate(peers):
-            key = derive_key(cfg.seed, 0xF2, q, j, int(i))
-            assert int(keys[t]) == key
-            r = int(np.count_nonzero(expected != rows[i]))
-            beta = attractiveness(float(pull[t]), float(r), gamma)
-            expected = law_step(expected, rows[i], beta, lam_, key)
-            steps.append((q, j, int(i)))
-        real.move(rows, j, peers, pull, gamma, lam_, keys)
-        assert np.array_equal(rows[j], expected)
+        rows = [swarm.placement(swarm.snapshot(j)) for j in range(cfg.population)]
+        for t, j in enumerate(block.tolist()):
+            peers = np.flatnonzero(intensity > intensity[j])
+            assert np.flatnonzero(brighter[t]).tolist() == peers.tolist()
+            expected = rows[j].reshape(-1)
+            for i in peers.tolist():
+                key = derive_key(cfg.seed, 0xF2, q, j, i)
+                assert int(keys[j, i]) == key
+                xi = rows[i].reshape(-1)
+                r = int(np.count_nonzero(expected != xi))
+                beta = attractiveness(float(intensity[i]), float(r), cfg.gamma)
+                expected = law_step(expected, xi, beta, lam, key)
+                steps.append((q, j, i))
+            rows[j] = np.stack([
+                repair(row, scn.popularity[m], slots)
+                for m, row in enumerate(expected.reshape(rows[j].shape))
+            ])
+        real(swarm, block, brighter, intensity, keys)
+        for j, x in enumerate(rows):
+            assert np.array_equal(swarm.placement(swarm.snapshot(j)), x)
 
     monkeypatch.setattr(firefly, "fold_keys", counting_fold)
-    monkeypatch.setattr(
-        firefly, "get_backend",
-        lambda: dataclasses.replace(real, move=checked_move),
-    )
+    monkeypatch.setattr(firefly._PackedSwarm, "move", checked_move)
     res = run_fa(scn, rates, part, cfg)
     assert iteration[0] == res.iterations - 1
     # the swarm settles within a few iterations at lam <= 1, but the keys
     # of at least two iterations are checked everywhere
     assert len({q for q, _, _ in steps}) >= 2
     assert len(steps) == len(set(steps)) > 10
+
+
+# ---------------------------------------------------------------------------
+# the packed search of short placements against the matrix search
+
+SMALL = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "small.yaml"))
+
+
+def run_fa_both_ways(monkeypatch, scn, rates, part, cfg):
+    """Run ``cfg`` on the packed search, then again with the size cutoff
+    at 0 so that the matrix search runs; both must return the same."""
+    shape = (scn.params.num_faps, scn.params.num_contents)
+    assert shape[0] * shape[1] <= _PACKED_MOVE_MAX
+    runs = [run_fa(scn, rates, part, cfg)]
+    with monkeypatch.context() as m:
+        m.setattr(firefly, "_PACKED_MOVE_MAX", 0)
+        runs.append(run_fa(scn, rates, part, cfg))
+    packed, matrix = runs
+    for res in runs:
+        for x in [res.best_matrix, *res.population]:
+            assert x.dtype == np.uint8 and x.shape == shape
+    assert np.array_equal(packed.best_matrix, matrix.best_matrix)
+    assert packed.best_eval == matrix.best_eval
+    assert packed.history == matrix.history
+    assert len(packed.population) == len(matrix.population) == cfg.population
+    for a, b in zip(packed.population, matrix.population):
+        assert np.array_equal(a, b)
+    return packed
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("seed", range(5))
+def test_packed_search_equals_matrix_search_on_small_config(monkeypatch, seed, lam):
+    scn = generate_scenario(SMALL.system, seed)
+    rates = build_rate_table(scn)
+    part = run_hcg(build_social_graph(scn, rates), SMALL.hcg).partition
+    cfg = dataclasses.replace(SMALL.fa, lambda_rand=lam, seed=seed)
+    run_fa_both_ways(monkeypatch, scn, rates, part, cfg)
+
+
+@pytest.mark.parametrize(
+    "faps, contents, slots",
+    [(3, 6, 0), (3, 6, 6), (1, 63, 20), (63, 1, 1)],
+    ids=["slots-0", "slots-F", "M1-F63", "M63-F1"],
+)
+def test_packed_search_equals_matrix_search_at_the_edges(monkeypatch, faps, contents, slots):
+    params = dataclasses.replace(
+        SMALL.system, num_faps=faps, num_users=2 * faps + 3,
+        num_contents=contents, capacity=slots * SMALL.system.content_size,
+    )
+    scn = generate_scenario(params, seed=4)
+    assert capacity_slots(params) == slots
+    cfg = FaConfig(population=8, max_iters=30, lambda_rand=2.0, seed=4)
+    res = run_fa_both_ways(monkeypatch, scn, build_rate_table(scn),
+                           Partition.singletons(faps), cfg)
+    assert (res.best_matrix.sum(axis=1) == slots).all()
+
+
+def test_packed_search_equals_matrix_search_with_an_idle_fap(monkeypatch):
+    """F-AP 2 has no local user, so its repair falls back to the lowest
+    content ids."""
+    rng = np.random.default_rng(8)
+    params = make_params(num_faps=3, num_users=5, num_contents=6, capacity=2.0e6)
+    scn = make_scenario(
+        params,
+        fap_pos=[[0.0, 0.0], [500.0, 0.0], [900.0, 900.0]],
+        user_pos=[[10.0, 0.0], [30.0, 20.0], [480.0, 0.0], [520.0, 10.0], [60.0, 0.0]],
+        demand=rng.dirichlet(np.ones(6), size=5),
+    )
+    assert not (scn.local_fap == 2).any()
+    cfg = FaConfig(population=8, max_iters=30, lambda_rand=2.0, seed=2)
+    run_fa_both_ways(monkeypatch, scn, build_rate_table(scn),
+                     Partition.from_labels([0, 0, 1]), cfg)
+
+
+@pytest.mark.parametrize("contents", [63, 64])
+def test_packed_search_takes_placements_of_at_most_63_entries(monkeypatch, contents):
+    params = dataclasses.replace(SMALL.system, num_faps=1, num_users=4,
+                                 num_contents=contents)
+    scn = generate_scenario(params, seed=1)
+    made = []
+    for name in ("_PackedSwarm", "_MatrixSwarm"):
+        cls = getattr(firefly, name)
+        monkeypatch.setattr(firefly, name,
+                            lambda *a, name=name, cls=cls: made.append(name) or cls(*a))
+    run_fa(scn, build_rate_table(scn), Partition.singletons(1),
+           FaConfig(population=4, max_iters=2, seed=1))
+    assert made == ["_PackedSwarm" if contents <= 63 else "_MatrixSwarm"]
 
 
 def test_fa_config_validation():

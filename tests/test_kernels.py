@@ -1,11 +1,12 @@
 """Counter-based RNG and the numpy kernels.
 
 The RNG vectors are checked against the published splitmix64 reference
-sequence for seed 0.  The move kernel is checked against its per-bit
-law, element by element in pure Python, on rows on both sides of the
-length that picks its formulation: at keys that draw exactly one below
-and at each threshold, and in frequency over many keys.  Both kernels
-are checked against dense references on full-scale swarms.  The repair
+sequence for seed 0.  The move kernel, and on rows of at most 63
+entries the step loop of the optimizer's packed search, are checked
+against the per-bit law, element by element in pure Python, on rows on
+both sides of the packed search's cutoff: at keys that draw exactly one
+below and at each threshold, and in frequency over many keys.  Both
+kernels are checked against dense references on full-scale swarms.  The repair
 kernel and the evaluator's surcharge tables are also checked against
 their scalar references in test_firefly.py and test_cache.py.
 """
@@ -39,7 +40,7 @@ from fogcache._kernels import (
 )
 from fogcache.config import load_config
 
-from conftest import GOLDEN, flat_order, law_chances, law_step, uniform_at
+from conftest import GOLDEN, flat_order, law_chances, law_step, packed_move, uniform_at
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -155,14 +156,20 @@ def test_get_backend_numpy_always_available():
 # the numpy move against its per-bit law, element by element
 
 
-# row lengths on both sides of the packed move's cutoff, and at it
+# row lengths on both sides of the packed search's cutoff, and at it
 MOVE_WIDTHS = (40, 63, 64, 100)
 
 
+def moves_at(n):
+    """The move kernel, and on rows of at most 63 entries also the step
+    loop of the packed search; the two must agree bit for bit."""
+    return [get_backend().move] + ([packed_move] if n <= _PACKED_MOVE_MAX else [])
+
+
 def test_move_cutoff_lies_between_the_benchmark_shapes():
-    """The small config and the verify cell take the packed move, and
-    full scale the step-by-step one, so each formulation has a workload
-    and the tests check both at the edge."""
+    """The small config and the verify cell take the packed search, and
+    full scale the move kernel, so each formulation has a workload and
+    the tests check both at the edge."""
     assert MOVE_WIDTHS[1] == _PACKED_MOVE_MAX < MOVE_WIDTHS[2]
     small = load_config(str(CONFIGS / "small.yaml")).system
     full = load_config(str(CONFIGS / "full_scale.yaml")).system
@@ -189,20 +196,21 @@ def test_move_matches_scalar_rule(lam):
     """Four steps of the move on random swarms equal four steps of the
     per-bit law, with the Hamming distance taken before each step."""
     rng = np.random.default_rng(5)
-    be = get_backend()
     for trial in range(20 * len(MOVE_WIDTHS)):
         n = MOVE_WIDTHS[trial % len(MOVE_WIDTHS)]
-        swarm, peers, pull, keys = _move_case(rng, trial, n)
+        start, peers, pull, keys = _move_case(rng, trial, n)
         gamma = float(rng.choice([0.0, 0.01, 0.2]))
-        expected = swarm[0].copy()
+        expected = start[0].copy()
         for t, i in enumerate(peers):
-            r = int(np.count_nonzero(expected != swarm[i]))
+            r = int(np.count_nonzero(expected != start[i]))
             beta = float(pull[t]) * math.exp(-gamma * r)
-            expected = law_step(expected, swarm[i], beta, lam, int(keys[t]))
-        others = np.delete(swarm, 0, axis=0)
-        be.move(swarm, 0, peers, pull, gamma, lam, keys)
-        assert np.array_equal(swarm[0], expected)
-        assert np.array_equal(np.delete(swarm, 0, axis=0), others)
+            expected = law_step(expected, start[i], beta, lam, int(keys[t]))
+        others = np.delete(start, 0, axis=0)
+        for move in moves_at(n):
+            swarm = start.copy()
+            move(swarm, 0, peers, pull, gamma, lam, keys)
+            assert np.array_equal(swarm[0], expected), move
+            assert np.array_equal(np.delete(swarm, 0, axis=0), others)
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +256,38 @@ def test_threshold_is_exact(beta, lam):
 
 
 def test_move_rejects_a_non_byte_swarm():
-    """The step-by-step move reads rows through a bool view, which only a
-    one-byte swarm has: the move raises instead of reading the wrong
-    bytes, on rows of either formulation."""
+    """The move kernel reads rows through a bool view, which only a
+    one-byte swarm has: it raises instead of reading the wrong bytes,
+    on rows on either side of the packed search's cutoff."""
     keys = np.array([7], dtype=np.uint64)
     for pad in (0, _PACKED_MOVE_MAX):
         swarm = np.zeros((2, 3 + pad), dtype=np.int64)
         swarm[:, :3] = [[0, 1, 0], [1, 1, 0]]
         with pytest.raises(ValueError, match="uint8"):
             get_backend().move(swarm, 0, np.array([1]), np.array([0.5]), 0.0, 1.0, keys)
+
+
+@pytest.mark.parametrize("n", [6, 100])
+def test_move_at_a_subnormal_lambda_warns_nothing(n):
+    """At lam = 5e-324, which FaConfig accepts, (beta - 1/2) / lam
+    overflows to inf, and P clips to 0 or 1 as the law says.  Three
+    steps, at beta below, at and above 1/2, follow the law with no
+    numpy warning."""
+    lam = 5e-324
+    assert firefly.FaConfig(lambda_rand=lam).lambda_rand == lam
+    rng = np.random.default_rng(n)
+    start = rng.integers(0, 2, size=(4, n)).astype(np.uint8)
+    peers, pull = np.array([1, 2, 3]), np.array([0.2, 0.5, 0.9])
+    keys = fold_keys(derive_key(3, n), peers)
+    expected = start[0].copy()
+    for t, i in enumerate(peers):
+        expected = law_step(expected, start[i], float(pull[t]), lam, int(keys[t]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for move in moves_at(n):
+            swarm = start.copy()
+            move(swarm, 0, peers, pull, 0.0, lam, keys)
+            assert np.array_equal(swarm[0], expected), move
 
 
 def unmix64(z):
@@ -294,9 +325,8 @@ def test_move_decides_draws_at_the_threshold(beta, lam):
     its value at K, K its threshold.  The element differs from the
     peer's alone, with every other element, or agrees with it.  With
     gamma > 0 and one differing element the step's beta lies inside the
-    range the packed move compares at its ends; with every element
+    range the packed step loop compares at its ends; with every element
     differing it is the lower end."""
-    be = get_backend()
     for n, gamma, xj, differ in itertools.product(
         (2, _PACKED_MOVE_MAX, _PACKED_MOVE_MAX + 1), (0.0, 0.2), (0, 1),
         ("one", "all", "none"),
@@ -313,37 +343,40 @@ def test_move_decides_draws_at_the_threshold(beta, lam):
             start[:, : e // 2] = 0
             start[:, n - r :] = [[xj], [1 - xj]]
             start[:, e] = [xj, xj if differ == "none" else 1 - xj]
-            swarm = start.copy()
             keys = np.array([key], dtype=np.uint64)
-            be.move(swarm, 0, np.array([1]), np.array([beta]), gamma, lam, keys)
             expected = law_step(start[0], start[1], step_beta, lam, key)
-            assert swarm[0].tolist() == expected.tolist(), (n, gamma, differ, xj, k, k_edge)
-            assert swarm[0, e] == xj ^ (k < k_edge)
+            assert expected[e] == xj ^ (k < k_edge)
+            for move in moves_at(n):
+                swarm = start.copy()
+                move(swarm, 0, np.array([1]), np.array([beta]), gamma, lam, keys)
+                assert swarm[0].tolist() == expected.tolist(), (
+                    move, n, gamma, differ, xj, k, k_edge)
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0, 3.0])
 def test_move_follows_the_law_in_frequency(lam):
-    """On rows of either formulation, over 400 keys and half the
-    elements differing from the peer's, the share of differing elements
-    that take the peer's value is within 5 binomial standard deviations
-    (plus 1e-3) of p, and the share of agreeing elements that flip is
-    within as much of q."""
-    be = get_backend()
+    """On rows on either side of the packed search's cutoff, each by
+    every move that takes it, over 400 keys and half the elements
+    differing from the peer's, the share of differing elements that
+    take the peer's value is within 5 binomial standard deviations (plus
+    1e-3) of p, and the share of agreeing elements that flip is within
+    as much of q."""
     count = 400
     for n, beta in itertools.product((40, 100), (0.2, 0.5, 0.8)):
         start = np.zeros((2, n), dtype=np.uint8)
         start[1, ::2] = 1  # even elements differ, odd ones agree
-        took = flipped = 0
-        for key in fold_keys(derive_key(13, n), np.arange(count)).tolist():
-            swarm = start.copy()
-            keys = np.array([key], dtype=np.uint64)
-            be.move(swarm, 0, np.array([1]), np.array([beta]), 0.0, lam, keys)
-            took += int(swarm[0, ::2].sum())
-            flipped += int(swarm[0, 1::2].sum())
-        for seen, chance in zip((took, flipped), law_chances(beta, lam)):
-            trials = count * n // 2
-            bound = 5.0 * math.sqrt(chance * (1.0 - chance) / trials) + 1e-3
-            assert abs(seen / trials - chance) <= bound, (n, beta, lam, seen, chance)
+        for move in moves_at(n):
+            took = flipped = 0
+            for key in fold_keys(derive_key(13, n), np.arange(count)).tolist():
+                swarm = start.copy()
+                keys = np.array([key], dtype=np.uint64)
+                move(swarm, 0, np.array([1]), np.array([beta]), 0.0, lam, keys)
+                took += int(swarm[0, ::2].sum())
+                flipped += int(swarm[0, 1::2].sum())
+            for seen, chance in zip((took, flipped), law_chances(beta, lam)):
+                trials = count * n // 2
+                bound = 5.0 * math.sqrt(chance * (1.0 - chance) / trials) + 1e-3
+                assert abs(seen / trials - chance) <= bound, (move, n, beta, lam, seen, chance)
 
 
 # ---------------------------------------------------------------------------
