@@ -131,14 +131,23 @@ def _hamming_np(a: np.ndarray, b: np.ndarray) -> int:
     return int(np.count_nonzero(a != b))
 
 
-def _draws(keys, idx) -> np.ndarray:
-    """The 53-bit draws ``mix64(key + (e + 1) * golden) >> 11``, as int64,
-    of flat elements ``idx`` under ``keys``; the two broadcast."""
-    z = np.asarray(idx).astype(np.uint64)  # an array, also for 0-d idx
-    z += np.uint64(1)
+@functools.lru_cache(maxsize=16)
+def _golden_steps(n: int) -> np.ndarray:
+    """``(e + 1) * golden`` in uint64 for e in [0, n): the offsets of the
+    draws of n-entry rows, read-only."""
+    z = np.arange(1, n + 1, dtype=np.uint64)
     z *= _GOLDEN_U64
+    z.flags.writeable = False
+    return z
+
+
+def _draws(keys, n: int, idx=None) -> np.ndarray:
+    """The 53-bit draws ``mix64(key + (e + 1) * golden) >> 11``, as int64,
+    of the flat elements ``idx`` (all n by default) of n-entry rows under
+    ``keys``; the two broadcast."""
+    steps = _golden_steps(n)
     # array + array wraps silently, even 0-d; numpy scalar math would warn
-    z = np.asarray(np.asarray(keys, dtype=np.uint64) + z)
+    z = np.asarray(np.asarray(keys, dtype=np.uint64) + (steps if idx is None else steps[idx]))
     _mix64_arr(z)
     z >>= np.uint64(11)
     return z.view(np.int64)
@@ -151,8 +160,16 @@ def _chance(beta, lam: float):
     P is ``clip(1/2 + (beta - 1/2) / lam, 0, 1)``, and at lam = 0 a 0 and
     a 1 alike take their peer's value iff beta >= 1/2.  At beta = 0 it is
     ``max(0, 1/2 - 1/(2 lam))``, the chance of an element that agrees
-    with its peer.  Monotone in beta, also as rounded.
+    with its peer.  Monotone in beta, also as rounded.  A Python float
+    is clipped in Python floats, to a Python int; an array in numpy.
     """
+    if type(beta) is float:
+        # float division overflows to inf silently, as the clip wants
+        if lam > 0.0:
+            p = min(max(0.5 + (beta - 0.5) / lam, 0.0), 1.0)
+        else:
+            p = 1.0 if beta >= 0.5 else 0.0
+        return int(p * _NEVER)
     if lam > 0.0:
         # for beta in [0, 1] the quotient overflows to inf only at a
         # subnormal lam, where P rightly clips to 0 or 1; only there is
@@ -197,8 +214,8 @@ def _step_batch(keys: np.ndarray, pull: np.ndarray, n: int, gamma: float,
     one at the least and the largest beta.  :func:`_move_packed` takes
     them, one slice of steps per firefly.
     """
-    e, weight, factor = _packed_constants(n, float(gamma))
-    z = _draws(np.asarray(keys)[:, None], e)
+    _, weight, factor = _packed_constants(n, float(gamma))
+    z = _draws(np.asarray(keys)[:, None], n)
     k = _chance(np.asarray(pull)[:, None] * factor, lam)
     # gamma >= 0: beta is least at distance n and largest at distance 0
     ends = k[:, [n + 1, n, 0]]
@@ -241,22 +258,25 @@ def _move_np(swarm: np.ndarray, j: int, peers: np.ndarray, pull: np.ndarray,
     ``beta = pull[t] * exp(-gamma * r)``, r the Hamming distance at that
     moment.  Element e changes iff its draw under ``keys[t]`` is below
     :func:`_chance` of beta if it differs from the peer's, of 0 if not.
-    The steps draw one at a time: only the differing elements, unless
-    agreeing ones can change too (lam > 1).
+    The steps draw one at a time: only the differing elements, and only
+    those that change are written, unless agreeing ones can change too
+    (lam > 1), when every element draws.
     """
     if swarm.dtype != np.uint8:
         raise ValueError("move needs a uint8 swarm")
     x = swarm[j]
     xb = x.view(np.bool_)  # a binary row; the bool view skips a cast
-    k_same = int(_chance(0.0, lam))
-    every = np.arange(x.size)
+    n = x.size
+    k_same = _chance(0.0, lam)
     for i, p, key in zip(peers.tolist(), pull.tolist(), keys.tolist()):
         d = x != swarm[i]
         if k_same:
             k = _chance(p * math.exp(-gamma * np.count_nonzero(d)), lam)
-            xb ^= _draws(key, every) < np.where(d, k, k_same)
+            xb ^= _draws(key, n) < np.where(d, k, k_same)
         elif (idx := np.flatnonzero(d)).size:
-            xb[idx] ^= _draws(key, idx) < _chance(p * math.exp(-gamma * idx.size), lam)
+            k = _chance(p * math.exp(-gamma * idx.size), lam)
+            hit = idx[_draws(key, n, idx) < k]
+            xb[hit] = ~xb[hit]  # a differing element that changes takes the peer's value
 
 
 # placements of fewer entries repair with the fewest numpy calls, larger

@@ -203,8 +203,8 @@ class PlacementEvaluator:
         extra_e[m, r] = (powers[m] * size) / rate
         extra_t[:, n_faps] = size / params.cloud_rate
         extra_e[:, n_faps] = (params.cloud_power * size) / params.cloud_rate
-        self._extra_t = extra_t.ravel()
-        self._extra_e = extra_e.ravel()
+        # delay over energy, so that one take gathers both
+        self._extra = np.stack([extra_t.ravel(), extra_e.ravel()])
 
         flat = np.empty((n_faps, n_faps), dtype=np.intp)
         flat[rows, order] = rows * (n_faps + 1) + ids
@@ -230,7 +230,8 @@ class PlacementEvaluator:
             chunk = columns[lo:lo + 8]
             held = table.take(_BIT_WEIGHTS[:len(chunk)] @ chunk, axis=1)
             first = held if first is None else np.minimum(first, held, out=first)
-        return self._extra_t.take(first), self._extra_e.take(first)
+        extra = self._extra.take(first, axis=1)
+        return extra[0], extra[1]
 
     def column_costs(self, columns: np.ndarray) -> np.ndarray:
         """Objective share of each (content, column), shape (F, P).

@@ -113,24 +113,80 @@ def _initial_swarm(
     slots: int,
     count: int,
     seed: int,
-) -> List[np.ndarray]:
-    """Seed fireflies with popularity-weighted feasible placements."""
+) -> np.ndarray:
+    """Seed fireflies with popularity-weighted feasible placements.
+
+    Row m of each firefly caches ``slots`` contents drawn without
+    replacement with the weights of row m of the popularity, uniform
+    for an F-AP with no users.  The fireflies draw in turn, row by row,
+    from one stream, with the bits of ``rng.choice(F, slots,
+    replace=False, p=w)`` (see :func:`_choose`).  Each row's count of
+    positive weights is checked, and its first CDF built, once; the
+    popularity rows are normalized by construction.
+    """
     params = scenario.params
-    pop_rows = scenario.popularity
-    rng = rng_for(seed, _STREAM_INIT)
-    uniform = np.full(params.num_contents, 1.0 / params.num_contents)
-    swarm = []
-    for _ in range(count):
-        x = np.zeros((params.num_faps, params.num_contents), dtype=np.uint8)
-        if slots:
-            for m in range(params.num_faps):
-                weights = pop_rows[m] if pop_rows[m].sum() > 0 else uniform
-                chosen = rng.choice(
-                    params.num_contents, size=slots, replace=False, p=weights
-                )
-                x[m, chosen] = 1
-        swarm.append(x)
+    n_rows, n_cols = params.num_faps, params.num_contents
+    swarm = np.zeros((count, n_rows, n_cols), dtype=np.uint8)
+    if not slots:
+        return swarm
+    uniform = np.full(n_cols, 1.0 / n_cols)
+    rows = []
+    for w in scenario.popularity:
+        w = w if w.sum() > 0 else uniform
+        if np.count_nonzero(w > 0) < slots:
+            raise ValueError("Fewer non-zero entries in p than size")
+        rows.append((w, _cdf(w)))
+    stream = _Uniforms(rng_for(seed, _STREAM_INIT), count * n_rows * slots)
+    for x in swarm:
+        for row, (w, cdf) in zip(x, rows):
+            row[_choose(w, cdf, slots, stream)] = 1
     return swarm
+
+
+def _cdf(p: np.ndarray) -> np.ndarray:
+    """The CDF that ``Generator.choice`` searches: ``cumsum(p)`` over its
+    last entry."""
+    cdf = np.cumsum(p)
+    cdf /= cdf[-1]
+    return cdf
+
+
+class _Uniforms:
+    """The uniforms of ``rng.random``, handed out in order a slice at a
+    time from blocks of at least ``block``: one stream, as if each slice
+    were its own ``rng.random`` call."""
+
+    def __init__(self, rng: np.random.Generator, block: int):
+        self.rng = rng
+        self.block = block
+        self.buf = rng.random(block)
+        self.at = 0
+
+    def take(self, size: int) -> np.ndarray:
+        if self.at + size > self.buf.size:
+            more = self.rng.random(max(size, self.block))
+            self.buf = np.concatenate([self.buf[self.at:], more])
+            self.at = 0
+        self.at += size
+        return self.buf[self.at - size:self.at]
+
+
+def _choose(w: np.ndarray, cdf: np.ndarray, size: int, stream: _Uniforms) -> list:
+    """``size`` distinct indices drawn with weights ``w``: what
+    ``Generator.choice(w.size, size, replace=False, p=w)`` returns on the
+    same stream.  That draws in rounds: each round draws one uniform per
+    missing index, maps it to the CDF of the weights with
+    ``searchsorted(side="right")``, keeps the first occurrence of each
+    index in draw order, and zeroes the found weights for the next
+    round.  ``cdf`` is the CDF of ``w``; ``w`` has at least ``size``
+    positive weights."""
+    found = list(dict.fromkeys(cdf.searchsorted(stream.take(size), side="right").tolist()))
+    while len(found) < size:
+        p = w.copy()
+        p[found] = 0
+        new = _cdf(p).searchsorted(stream.take(size - len(found)), side="right")
+        found += dict.fromkeys(new.tolist())
+    return found
 
 
 # a draw batch covers the fireflies of one block, at most this many
@@ -151,10 +207,6 @@ class _Swarm:
         self.params = evaluator.scenario.params
         self.slots = slots
         self.config = config
-
-    def _check(self, x):
-        if not feasible(x, self.params):
-            raise AssertionError("swarm left the capacity region")
 
 
 class _MatrixSwarm(_Swarm):
@@ -183,6 +235,10 @@ class _MatrixSwarm(_Swarm):
                          cfg.lambda_rand, keys[j, pj])
             self.be.repair(self.swarm[j], self.prio, self.slots)
         self._check(self.swarm.reshape(-1, self.swarm.shape[2]))
+
+    def _check(self, x):
+        if not feasible(x, self.params):
+            raise AssertionError("swarm left the capacity region")
 
     def score(self, j):
         return self.evaluator.evaluate(self.swarm[j])
@@ -225,8 +281,9 @@ class _PackedSwarm(_Swarm):
                 r = ((row >> self.e[:n_cols]) & 1).astype(np.uint8)[None, :]
                 # a one-row placement: its priority order is row m's
                 self.be.repair(r, self.evaluator.scenario.priority[m:m + 1], self.slots)
-                self._check(r)
                 done = fixed[row] = int(r[0] @ self.weight[:n_cols])
+                if done.bit_count() > self.slots:
+                    raise AssertionError("swarm left the capacity region")
             out |= done << (m * n_cols)
         return out
 
@@ -277,7 +334,7 @@ def run_fa(
     slots = capacity_slots(params)
     packed = params.num_faps * params.num_contents <= _PACKED_MOVE_MAX
     swarm = (_PackedSwarm if packed else _MatrixSwarm)(
-        np.stack(_initial_swarm(scenario, slots, config.population, config.seed)),
+        _initial_swarm(scenario, slots, config.population, config.seed),
         evaluator, slots, config,
     )
     evals = [swarm.score(j) for j in range(config.population)]

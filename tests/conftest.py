@@ -66,7 +66,8 @@ def uniform_at(key, idx) -> np.ndarray:
     index e, times 2**-53.  It depends only on ``(key, e)``.  ``key`` may
     be an array of keys; it broadcasts against ``idx``.
     """
-    return _draws(key, idx) * 2.0**-53
+    idx = np.asarray(idx)
+    return _draws(key, int(idx.max(initial=0)) + 1, idx) * 2.0**-53
 
 
 def law_chances(beta, lam):

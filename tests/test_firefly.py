@@ -3,6 +3,7 @@
 import dataclasses
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from fogcache import (
     run_fa,
     run_hcg,
 )
-from fogcache._kernels import _PACKED_MOVE_MAX, derive_key, get_backend
+from fogcache._kernels import _PACKED_MOVE_MAX, derive_key, get_backend, rng_for
 
 from conftest import (
     flat_order,
@@ -32,6 +33,9 @@ from conftest import (
     make_scenario,
     packed_move,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +236,146 @@ def test_repair_kernel_rejects_non_contiguous_rows():
 
 
 # ---------------------------------------------------------------------------
+# the initial swarm against one rng.choice per row
+
+
+def reference_initial_swarm(scenario, slots, count, seed):
+    """The initial swarm by ``Generator.choice``: firefly by firefly, row
+    m draws ``slots`` contents without replacement with the weights of
+    row m of the popularity, uniform for an F-AP with no users."""
+    params = scenario.params
+    pop_rows = scenario.popularity
+    rng = rng_for(seed, firefly._STREAM_INIT)
+    uniform = np.full(params.num_contents, 1.0 / params.num_contents)
+    swarm = []
+    for _ in range(count):
+        x = np.zeros((params.num_faps, params.num_contents), dtype=np.uint8)
+        if slots:
+            for m in range(params.num_faps):
+                weights = pop_rows[m] if pop_rows[m].sum() > 0 else uniform
+                chosen = rng.choice(
+                    params.num_contents, size=slots, replace=False, p=weights
+                )
+                x[m, chosen] = 1
+        swarm.append(x)
+    return np.stack(swarm)
+
+
+def weights_only(popularity):
+    """What the initial swarm reads of a scenario, for a weight matrix."""
+    popularity = np.asarray(popularity, dtype=float)
+    params = SimpleNamespace(num_faps=popularity.shape[0],
+                             num_contents=popularity.shape[1])
+    return SimpleNamespace(params=params, popularity=popularity)
+
+
+def assert_initial_swarm_is_reference(scenario, slots, count, seed):
+    got = firefly._initial_swarm(scenario, slots, count, seed)
+    want = reference_initial_swarm(scenario, slots, count, seed)
+    assert got.dtype == np.uint8 and got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert (got.sum(axis=2) == slots).all()
+
+
+@pytest.mark.parametrize("name, seed", [("small", s) for s in range(5)]
+                         + [("full_scale", s) for s in range(3)])
+def test_initial_swarm_equals_rng_choice_on_the_configs(name, seed):
+    cfg = load_config(str(CONFIGS / f"{name}.yaml"))
+    scn = generate_scenario(cfg.system, seed)
+    slots = capacity_slots(cfg.system)
+    assert 0 < slots < cfg.system.num_contents
+    assert_initial_swarm_is_reference(scn, slots, cfg.fa.population, seed)
+
+
+def test_initial_swarm_equals_rng_choice_for_an_idle_fap():
+    """An F-AP with no users draws from the uniform row."""
+    w = [[0.5, 0.3, 0.2, 0.0, 0.0, 0.0], [0.0] * 6, [0.1, 0.1, 0.2, 0.2, 0.3, 0.1]]
+    for seed in range(5):
+        assert_initial_swarm_is_reference(weights_only(w), 2, 8, seed)
+
+
+@pytest.mark.parametrize("slots", [0, 6], ids=["slots-0", "slots-F"])
+def test_initial_swarm_equals_rng_choice_at_the_slot_ends(slots):
+    w = [[0.5, 0.3, 0.1, 0.05, 0.03, 0.02], [1 / 6] * 6]
+    for seed in range(3):
+        assert_initial_swarm_is_reference(weights_only(w), slots, 5, seed)
+
+
+def test_initial_swarm_equals_rng_choice_with_exactly_slots_positive_weights():
+    w = [[0.0, 0.7, 0.0, 0.2, 0.1, 0.0], [0.25, 0.0, 0.25, 0.0, 0.25, 0.25]]
+    for seed in range(5):
+        got = firefly._initial_swarm(weights_only(w), 3, 6, seed)
+        assert (got[:, 0] == [0, 1, 0, 1, 1, 0]).all()
+    for seed in range(5):
+        assert_initial_swarm_is_reference(weights_only(w), 3, 6, seed)
+
+
+HEAVY_HEAD = [[0.9, 0.04, 0.03, 0.02, 0.01, 0.0]]
+
+
+def test_initial_swarm_equals_rng_choice_over_several_rounds(monkeypatch):
+    """A heavy head redraws: most uniforms of a round land on content 0,
+    so the row needs more rounds, each on the uniforms after the last."""
+    cdf = firefly._cdf
+    built = []
+    monkeypatch.setattr(firefly, "_cdf", lambda p: built.append(1) or cdf(p))
+    assert_initial_swarm_is_reference(weights_only(HEAVY_HEAD), 4, 1, 4)
+    assert len(built) >= 3  # the row's first CDF, then one per further round
+    for seed in range(5):
+        assert_initial_swarm_is_reference(weights_only(HEAVY_HEAD), 4, 20, seed)
+
+
+def stream_uniforms(seed, count):
+    """The first uniforms of the initial swarm's stream."""
+    return rng_for(seed, firefly._STREAM_INIT).random(count)
+
+
+def test_initial_swarm_takes_the_content_right_of_a_tied_cdf_step():
+    """A uniform that lands exactly on a step of the CDF takes the next
+    content of positive weight, as ``searchsorted(side="right")`` does,
+    in the first round and in a later one.  Each row's weights put a
+    step exactly at a uniform of the stream (u >= 1/2, so 1 - u is
+    exact and the steps add up to 1 without rounding)."""
+    seed = next(s for s in range(100) if stream_uniforms(s, 1)[0] >= 0.5)
+    u = stream_uniforms(seed, 1)[0]
+    row = weights_only([[u, 0.0, 1.0 - u]])  # CDF [u, u, 1]
+    assert firefly._initial_swarm(row, 1, 1, seed)[0].tolist() == [[0, 0, 1]]
+    assert_initial_swarm_is_reference(row, 1, 1, seed)
+    # both uniforms of round 1 land on content 0; the one of round 2 lands
+    # on the CDF step v of [0, v, v, 1], content 0's weight zeroed
+    tail = 2.0**-10
+    seed = next(s for s in range(1000)
+                if max(stream_uniforms(s, 2)) < 1 - tail <= 2 * stream_uniforms(s, 3)[2])
+    v = stream_uniforms(seed, 3)[2]
+    row = weights_only([[1 - tail, v * tail, 0.0, (1 - v) * tail]])
+    assert firefly._initial_swarm(row, 2, 1, seed)[0].tolist() == [[1, 0, 0, 1]]
+    assert_initial_swarm_is_reference(row, 2, 1, seed)
+
+
+@pytest.mark.parametrize("w, size", [
+    (HEAVY_HEAD[0], 4),
+    ([0.3, 0.3, 0.2, 0.1, 0.1, 0.0], 3),
+    ([1 / 1000] * 1000, 100),
+], ids=["heavy-head", "short", "uniform-1000"])
+def test_choose_returns_what_rng_choice_returns(w, size):
+    """The draw of one row, order included: the first occurrence of each
+    content, in draw order, round after round."""
+    w = np.asarray(w)
+    for seed in range(10):
+        stream = firefly._Uniforms(rng_for(seed, firefly._STREAM_INIT), size)
+        got = firefly._choose(w, firefly._cdf(w), size, stream)
+        want = rng_for(seed, firefly._STREAM_INIT).choice(w.size, size, replace=False, p=w)
+        assert got == want.tolist()
+
+
+def test_initial_swarm_rejects_fewer_positive_weights_than_slots():
+    scn = weights_only(HEAVY_HEAD)
+    for draw in (firefly._initial_swarm, reference_initial_swarm):
+        with pytest.raises(ValueError, match="non-zero"):
+            draw(scn, 6, 2, 0)
+
+
+# ---------------------------------------------------------------------------
 # full runs
 
 
@@ -375,7 +519,7 @@ def test_run_fa_draws_follow_the_counter_stream(monkeypatch, small_instance, lam
 # ---------------------------------------------------------------------------
 # the packed search of short placements against the matrix search
 
-SMALL = load_config(str(Path(__file__).resolve().parent.parent / "configs" / "small.yaml"))
+SMALL = load_config(str(CONFIGS / "small.yaml"))
 
 
 def run_fa_both_ways(monkeypatch, scn, rates, part, cfg):
@@ -458,6 +602,39 @@ def test_packed_search_takes_placements_of_at_most_63_entries(monkeypatch, conte
     run_fa(scn, build_rate_table(scn), Partition.singletons(1),
            FaConfig(population=4, max_iters=2, seed=1))
     assert made == ["_PackedSwarm" if contents <= 63 else "_MatrixSwarm"]
+
+
+def over_budget_repair(monkeypatch):
+    """Patch the repair kernel that run_fa calls to leave the first row
+    of each placement it repairs one slot over budget."""
+    real = get_backend()
+
+    def repair(x, prio, slots):
+        real.repair(x, prio, slots)
+        row = x[0]
+        row[np.flatnonzero(row == 0)[0]] = 1
+
+    monkeypatch.setattr(firefly, "get_backend",
+                        lambda: dataclasses.replace(real, repair=repair))
+
+
+@pytest.mark.parametrize("form", ["packed", "matrix"])
+def test_run_fa_asserts_the_capacity_region(monkeypatch, form):
+    """Both swarm forms check the repair kernel's result: the packed one
+    on the small config, the matrix one on a 64-entry placement."""
+    if form == "packed":
+        params = SMALL.system
+    else:
+        params = dataclasses.replace(SMALL.system, num_faps=1, num_users=4,
+                                     num_contents=64)
+    scn = generate_scenario(params, seed=1)
+    slots = capacity_slots(params)
+    assert 0 < slots < params.num_contents
+    assert (params.num_faps * params.num_contents <= _PACKED_MOVE_MAX) == (form == "packed")
+    over_budget_repair(monkeypatch)
+    with pytest.raises(AssertionError, match="^swarm left the capacity region$"):
+        run_fa(scn, build_rate_table(scn), Partition.singletons(params.num_faps),
+               FaConfig(population=4, max_iters=2, seed=1))
 
 
 def test_fa_config_validation():

@@ -33,6 +33,8 @@ from fogcache._kernels import (
     _PACKED_MOVE_MAX,
     _SPARSE_REPAIR_MIN,
     _chance,
+    _draws,
+    _golden_steps,
     derive_key,
     fold_keys,
     get_backend,
@@ -253,6 +255,33 @@ def test_threshold_is_exact(beta, lam):
     assert 0 <= k <= NEVER and abs(k - exact * NEVER) <= 4, (k, float(exact))
     if lam == 0.0:
         assert k == (NEVER if beta >= 0.5 else 0)
+
+
+CHANCE_BETAS = [0.0, 5e-324, 0.25, 0.5, 0.75, 1.0]
+
+
+@pytest.mark.parametrize("lam", [0.0, 5e-324, 0.3, 0.5, 1.0, 2.0, 4.0], ids=repr)
+def test_threshold_of_a_float_equals_its_array_path(lam):
+    """A Python float is clipped in Python floats, an array in numpy; the
+    two give the same threshold bit for bit."""
+    betas = CHANCE_BETAS + np.random.default_rng(23).random(200).tolist()
+    got = [_chance(beta, lam) for beta in betas]
+    assert all(type(k) is int for k in got)
+    assert got == _chance(np.array(betas), lam).tolist()
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 15000])
+def test_draws_read_cached_offsets(n):
+    """The draws of n-entry rows add the cached ``(e + 1) * golden``; the
+    first and last element of a row draw as the scalar mix64 says."""
+    steps = _golden_steps(n)
+    assert steps is _golden_steps(n) and not steps.flags.writeable
+    ends = np.array([0, n - 1])
+    for key in (0, 5, MASK, derive_key(3, n)):
+        want = [mix64(key + (e + 1) * GOLDEN) >> 11 for e in ends.tolist()]
+        assert _draws(key, n)[ends].tolist() == want
+        assert _draws(key, n, ends).tolist() == want
+        assert _draws(np.array([[key]], dtype=np.uint64), n, ends).tolist() == [want]
 
 
 def test_move_rejects_a_non_byte_swarm():
