@@ -57,6 +57,9 @@ _NORMAL_MIN = sys.float_info.min  # the least positive normal float
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MIX1_U64 = np.uint64(_MIX1)
 _MIX2_U64 = np.uint64(_MIX2)
+# numpy scalars are made once: making one costs about as much as a
+# ufunc call on a small array
+_SHIFT11, _SHIFT27, _SHIFT30, _SHIFT31 = (np.uint64(s) for s in (11, 27, 30, 31))
 
 
 # ---------------------------------------------------------------------------
@@ -106,13 +109,13 @@ def _mix64_arr(z: np.ndarray) -> np.ndarray:
     of :func:`mix64`.  Returns ``z``.
     """
     t = np.empty_like(z)
-    np.right_shift(z, np.uint64(30), out=t)
+    np.right_shift(z, _SHIFT30, out=t)
     z ^= t
     z *= _MIX1_U64
-    np.right_shift(z, np.uint64(27), out=t)
+    np.right_shift(z, _SHIFT27, out=t)
     z ^= t
     z *= _MIX2_U64
-    np.right_shift(z, np.uint64(31), out=t)
+    np.right_shift(z, _SHIFT31, out=t)
     z ^= t
     return z
 
@@ -149,7 +152,7 @@ def _draws(keys, n: int, idx=None) -> np.ndarray:
     # array + array wraps silently, even 0-d; numpy scalar math would warn
     z = np.asarray(np.asarray(keys, dtype=np.uint64) + (steps if idx is None else steps[idx]))
     _mix64_arr(z)
-    z >>= np.uint64(11)
+    z >>= _SHIFT11
     return z.view(np.int64)
 
 
@@ -171,15 +174,22 @@ def _chance(beta, lam: float):
             p = 1.0 if beta >= 0.5 else 0.0
         return int(p * _NEVER)
     if lam > 0.0:
+        # in place, one new array for the whole clip
+        p = np.array(beta, dtype=np.float64)
+        p -= 0.5
         # for beta in [0, 1] the quotient overflows to inf only at a
         # subnormal lam, where P rightly clips to 0 or 1; only there is
         # the warning silenced, as errstate costs microseconds a call
         quiet = np.errstate(over="ignore") if lam < _NORMAL_MIN else contextlib.nullcontext()
         with quiet:
-            p = np.minimum(np.maximum(0.5 + (beta - 0.5) / lam, 0.0), 1.0)
+            p /= lam
+        p += 0.5
+        np.maximum(p, 0.0, out=p)
+        np.minimum(p, 1.0, out=p)
     else:
         p = np.greater_equal(beta, 0.5).astype(np.float64)
-    return (p * _NEVER).astype(np.int64)
+    p *= _NEVER
+    return p.astype(np.int64)
 
 
 # a placement of at most this many entries packs into the 63 value bits
@@ -219,13 +229,15 @@ def _step_batch(keys: np.ndarray, pull: np.ndarray, n: int, gamma: float,
     k = _chance(np.asarray(pull)[:, None] * factor, lam)
     # gamma >= 0: beta is least at distance n and largest at distance 0
     ends = k[:, [n + 1, n, 0]]
-    masks = ((z[:, None, :] < ends[:, :, None]) @ weight).tolist()
+    # a bool matrix product casts element by element; int64 is faster
+    masks = ((z[:, None, :] < ends[:, :, None]).astype(np.int64) @ weight).tolist()
     return z, k, masks
 
 
 def _move_packed(x: int, peers: list, masks: list, z: np.ndarray,
-                 k: np.ndarray) -> int:
-    """Packed row x pulled toward each packed row ``peers[t]`` in turn.
+                 k: np.ndarray, t: int = 0) -> int:
+    """Packed row x pulled toward each packed row of ``peers`` in turn,
+    the steps t, t + 1, ... of a batch.
 
     Step t reads row t of the draws ``z``, the thresholds ``k`` and the
     ``masks`` of :func:`_step_batch`: an element changes iff it differs
@@ -236,7 +248,10 @@ def _move_packed(x: int, peers: list, masks: list, z: np.ndarray,
     the thresholds at the two ends of the range of beta; only those are
     compared again, at distance r.
     """
-    for t, (xi, (flip, sure, maybe)) in enumerate(zip(peers, masks)):
+    # the whole batch is passed with the first step, as slicing the
+    # arrays costs more than the steps of a short placement
+    for t, xi in enumerate(peers, t):
+        flip, sure, maybe = masks[t]
         d = x ^ xi
         x ^= (d & sure) | (flip & ~d)
         open_ = d & maybe & ~sure

@@ -296,13 +296,12 @@ class _PackedSwarm(_Swarm):
             keys[block[row], peer], intensity[peer],
             self.e.size, self.config.gamma, self.config.lambda_rand,
         )
-        ends = np.cumsum(np.count_nonzero(brighter, axis=1)).tolist()
+        ends = np.bincount(row, minlength=block.size).cumsum().tolist()
         peer = peer.tolist()
         codes = self.codes
         t = 0
         for j, u in zip(block.tolist(), ends):
-            x = _move_packed(codes[j], [codes[i] for i in peer[t:u]],
-                             masks[t:u], z[t:u], k[t:u])
+            x = _move_packed(codes[j], [codes[i] for i in peer[t:u]], masks, z, k, t)
             codes[j] = self._repair(x)
             t = u
 
