@@ -25,6 +25,10 @@ rows packed into Python ints, with the draws and thresholds of a whole
 batch of steps made up front by :func:`_step_batch`.  The optimizer
 keeps a placement of at most ``_PACKED_MOVE_MAX`` entries packed for
 its whole search.
+
+:func:`weighted_sample` draws k distinct contents per row by weight,
+from the same draws: the initial swarm and the random baseline both
+call it.
 """
 
 from __future__ import annotations
@@ -45,6 +49,7 @@ __all__ = [
     "derive_key",
     "fold_keys",
     "rng_for",
+    "weighted_sample",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -154,6 +159,47 @@ def _draws(keys, n: int, idx=None) -> np.ndarray:
     _mix64_arr(z)
     z >>= _SHIFT11
     return z.view(np.int64)
+
+
+def weighted_sample(w, k: int, key: int, *parts) -> np.ndarray:
+    """Exactly ``k`` distinct picks per row of the weights ``w``, as a
+    bool mask: successive sampling without replacement, the law of
+    ``Generator.choice(F, k, replace=False, p=w / w.sum())``.
+
+    Row r draws under ``fold_keys(key, *parts)[r]``, and the rows of
+    ``w``, shape (..., F), broadcast against the keys.  Each content
+    takes the uniform u, the midpoint of the 52-bit cell of its
+    :func:`_draws` value, which lies strictly inside (0, 1) (the 53-bit
+    midpoint rounds to 1 at the largest draw), and the key
+    ``log(-log u) - log w``; the k least keys are picked (Efraimidis and
+    Spirakis, *Inf. Process. Lett.* 97(5), 2006, ranked in logs so that
+    a subnormal weight cannot overflow).  Ties at the k-th key go to
+    the lower content id, and a zero weight keys as +inf: zeros fill
+    last, lowest id first.
+    """
+    w = np.asarray(w, dtype=np.float64)
+    n = w.shape[-1]
+    if not 0 <= k <= n:
+        raise ValueError(f"cannot pick {k} of {n} contents")
+    if not (w >= 0).all():  # NaN fails too
+        raise ValueError("weights must be non-negative")
+    keys = fold_keys(key, *parts)
+    if k == 0:
+        return np.zeros(keys.shape + (n,), dtype=bool)
+    s = _draws(keys[..., None], n)
+    s >>= 1
+    s = s + 0.5
+    s *= 2.0**-52
+    np.log(s, out=s)
+    np.negative(s, out=s)
+    np.log(s, out=s)
+    s -= np.log(w, out=np.full(w.shape, -np.inf), where=w > 0)
+    kth = np.partition(s, k - 1, axis=-1)[..., k - 1, None]
+    pick = s < kth
+    tie = s == kth
+    need = k - np.count_nonzero(pick, axis=-1)[..., None]
+    pick |= tie & (np.cumsum(tie, axis=-1, dtype=np.int32) <= need)
+    return pick
 
 
 def _chance(beta, lam: float):

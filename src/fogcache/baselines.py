@@ -3,8 +3,10 @@
 The exhaustive scheme is the ground-truth optimum for small instances,
 found exactly by dynamic programming over contents on the evaluator's
 per-content column costs; the other two are the cheap baselines the
-optimizer is judged against.  Every scheme fills each cache to
-``capacity_slots``.
+optimizer is judged against.  Random and greedy caching fill each
+cache to ``capacity_slots``; the exhaustive scheme searches every row
+of at most that many contents, so it leaves a cache short where its
+copies would cost more holding energy than they save.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from ._kernels import rng_for
+from ._kernels import derive_key, weighted_sample
 from .cache import EvalResult, Partition, PlacementEvaluator, new_placement
 from .radio import LinkRateTable
 from .scenario import Scenario, capacity_slots
@@ -38,16 +40,12 @@ SCHEMES = ("random", "greedy_local", "improved_fa", "exhaustive")
 
 
 def random_caching(scenario: Scenario, seed: int) -> np.ndarray:
-    """Each F-AP caches a uniform random subset that fills its budget."""
+    """Each F-AP m caches a uniform random subset that fills its budget,
+    drawn under the key ``derive_key(seed, 0xBA5E, m)``."""
     params = scenario.params
-    slots = capacity_slots(params)
-    rng = rng_for(seed, 0xBA5E)
-    x = new_placement(params)
-    if slots:
-        for m in range(params.num_faps):
-            chosen = rng.choice(params.num_contents, size=slots, replace=False)
-            x[m, chosen] = 1
-    return x
+    picks = weighted_sample(np.ones(params.num_contents), capacity_slots(params),
+                            derive_key(seed, 0xBA5E), np.arange(params.num_faps))
+    return picks.astype(np.uint8)
 
 
 def greedy_local(scenario: Scenario) -> np.ndarray:

@@ -171,8 +171,6 @@ class PlacementEvaluator:
     ):
         params = scenario.params
         self.scenario = scenario
-        self.rates = rates
-        self.partition = partition
         self.mass = scenario.demand_mass
         powers = params.fap_powers()
         size = params.content_size

@@ -20,9 +20,10 @@ row and the score of a placement are each computed once per run and
 looked up after that.  Longer placements move as uint8 matrices through
 the numpy kernels.  Both forms give the same result, bit for bit.
 
-All randomness inside the main loop is counter-based: the draw for
-(iteration q, firefly j, peer i, element e) is the draw of element e
-under the key ``derive_key(seed, 0xF2, q, j, i)``.  That makes runs
+All randomness is counter-based.  Row m of firefly j of the initial
+swarm draws under the key ``derive_key(seed, 0xF1, j, m)``, and the
+draw for (iteration q, firefly j, peer i, element e) is the draw of
+element e under the key ``derive_key(seed, 0xF2, q, j, i)``.  That makes runs
 reproducible whatever order the draws are made in, and lets an
 iteration derive all its keys in one vectorized call and a move make
 its draws in whatever batches suit it; see :mod:`fogcache._kernels`.
@@ -44,7 +45,7 @@ from ._kernels import (
     derive_key,
     fold_keys,
     get_backend,
-    rng_for,
+    weighted_sample,
 )
 from .cache import EvalResult, Partition, PlacementEvaluator, feasible
 from .radio import LinkRateTable
@@ -59,6 +60,9 @@ __all__ = [
 
 _STREAM_INIT = 0xF1
 _STREAM_MOVE = 0xF2
+# entries of the initial swarm drawn per sampler call: it bounds the
+# call's temporaries, and so the run's peak memory at full scale
+_SAMPLE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -116,77 +120,25 @@ def _initial_swarm(
 ) -> np.ndarray:
     """Seed fireflies with popularity-weighted feasible placements.
 
-    Row m of each firefly caches ``slots`` contents drawn without
+    Row m of firefly j caches ``slots`` contents drawn without
     replacement with the weights of row m of the popularity, uniform
-    for an F-AP with no users.  The fireflies draw in turn, row by row,
-    from one stream, with the bits of ``rng.choice(F, slots,
-    replace=False, p=w)`` (see :func:`_choose`).  Each row's count of
-    positive weights is checked, and its first CDF built, once; the
-    popularity rows are normalized by construction.
+    for an F-AP with no users, under the key
+    ``derive_key(seed, 0xF1, j, m)`` (see :func:`weighted_sample`).  A
+    call draws the rows of at most ``_SAMPLE_BLOCK`` entries' worth of
+    fireflies, or of one.
     """
     params = scenario.params
     n_rows, n_cols = params.num_faps, params.num_contents
-    swarm = np.zeros((count, n_rows, n_cols), dtype=np.uint8)
-    if not slots:
-        return swarm
-    uniform = np.full(n_cols, 1.0 / n_cols)
-    rows = []
-    for w in scenario.popularity:
-        w = w if w.sum() > 0 else uniform
-        if np.count_nonzero(w > 0) < slots:
-            raise ValueError("Fewer non-zero entries in p than size")
-        rows.append((w, _cdf(w)))
-    stream = _Uniforms(rng_for(seed, _STREAM_INIT), count * n_rows * slots)
-    for x in swarm:
-        for row, (w, cdf) in zip(x, rows):
-            row[_choose(w, cdf, slots, stream)] = 1
+    w = scenario.popularity
+    w = np.where(w.sum(axis=1, keepdims=True) > 0, w, 1.0)
+    swarm = np.empty((count, n_rows, n_cols), dtype=np.uint8)
+    key = derive_key(seed, _STREAM_INIT)
+    per_call = max(1, _SAMPLE_BLOCK // w.size)
+    for lo in range(0, count, per_call):
+        ids = np.arange(lo, min(lo + per_call, count))
+        swarm[lo:lo + per_call] = weighted_sample(w, slots, key, ids[:, None],
+                                                  np.arange(n_rows))
     return swarm
-
-
-def _cdf(p: np.ndarray) -> np.ndarray:
-    """The CDF that ``Generator.choice`` searches: ``cumsum(p)`` over its
-    last entry."""
-    cdf = np.cumsum(p)
-    cdf /= cdf[-1]
-    return cdf
-
-
-class _Uniforms:
-    """The uniforms of ``rng.random``, handed out in order a slice at a
-    time from blocks of at least ``block``: one stream, as if each slice
-    were its own ``rng.random`` call."""
-
-    def __init__(self, rng: np.random.Generator, block: int):
-        self.rng = rng
-        self.block = block
-        self.buf = rng.random(block)
-        self.at = 0
-
-    def take(self, size: int) -> np.ndarray:
-        if self.at + size > self.buf.size:
-            more = self.rng.random(max(size, self.block))
-            self.buf = np.concatenate([self.buf[self.at:], more])
-            self.at = 0
-        self.at += size
-        return self.buf[self.at - size:self.at]
-
-
-def _choose(w: np.ndarray, cdf: np.ndarray, size: int, stream: _Uniforms) -> list:
-    """``size`` distinct indices drawn with weights ``w``: what
-    ``Generator.choice(w.size, size, replace=False, p=w)`` returns on the
-    same stream.  That draws in rounds: each round draws one uniform per
-    missing index, maps it to the CDF of the weights with
-    ``searchsorted(side="right")``, keeps the first occurrence of each
-    index in draw order, and zeroes the found weights for the next
-    round.  ``cdf`` is the CDF of ``w``; ``w`` has at least ``size``
-    positive weights."""
-    found = list(dict.fromkeys(cdf.searchsorted(stream.take(size), side="right").tolist()))
-    while len(found) < size:
-        p = w.copy()
-        p[found] = 0
-        new = _cdf(p).searchsorted(stream.take(size - len(found)), side="right")
-        found += dict.fromkeys(new.tolist())
-    return found
 
 
 # a draw batch covers the fireflies of one block, at most this many

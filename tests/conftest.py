@@ -6,6 +6,7 @@ number asserted in the tests was worked out by hand (or by brute
 enumeration) before being frozen into the test files.
 """
 
+import itertools
 import os
 from pathlib import Path
 from typing import Optional, Tuple
@@ -113,6 +114,40 @@ def packed_move(swarm, j, peers, pull, gamma, lam, keys):
     z, k, masks = _step_batch(keys, pull, swarm.shape[1], gamma, lam)
     x = _move_packed(rows[j], [rows[i] for i in peers.tolist()], masks, z, k)
     swarm[j] = (x >> np.arange(swarm.shape[1])) & 1
+
+
+def successive_sampling_law(w, k: int) -> dict:
+    """The exact law of k draws without replacement by weight ``w``, the
+    law of ``Generator.choice(F, k, replace=False, p=w / sum(w))``: each
+    k-subset, as its bit code ``sum(2**f)``, mapped to its probability,
+    summed over the orders it can be drawn in.  Each draw picks a
+    content with its share of the weight left."""
+    w = [float(v) for v in w]
+    law = {}
+    for order in itertools.permutations(range(len(w)), k):
+        p, left = 1.0, sum(w)
+        for f in order:
+            p *= w[f] / left
+            left -= w[f]
+        if p > 0:
+            code = sum(1 << f for f in order)
+            law[code] = law.get(code, 0.0) + p
+    return law
+
+
+def assert_subsets_follow(picks, law) -> None:
+    """The rows of the bool ``picks`` (rows, F), as subsets, follow
+    ``law`` (see :func:`successive_sampling_law`): no subset outside it,
+    and a chi-square statistic over its subsets below df + 6 sqrt(2 df),
+    about 6 standard deviations above its mean."""
+    codes = picks.astype(np.int64) @ np.left_shift(1, np.arange(picks.shape[1]))
+    counts = np.bincount(codes, minlength=1 << picks.shape[1])
+    assert set(np.flatnonzero(counts).tolist()) <= set(law)
+    expect = np.array([law[c] for c in law]) * codes.size
+    got = counts[list(law)]
+    df = max(len(law) - 1, 1)
+    chi2 = float(((got - expect) ** 2 / expect).sum())
+    assert chi2 < df + 6 * (2 * df) ** 0.5, (chi2, df)
 
 
 def users_of(scenario: Scenario, m: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,9 +23,20 @@ from fogcache import (
     random_caching,
     run_fa,
 )
+from fogcache._kernels import derive_key, weighted_sample
+from fogcache.config import load_config
 from fogcache.experiment import _build_cell
 
-from conftest import local_popularity, make_params, make_rates, make_scenario
+from conftest import (
+    assert_subsets_follow,
+    local_popularity,
+    make_params,
+    make_rates,
+    make_scenario,
+    successive_sampling_law,
+)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 # the instance of the near-optimality acceptance gate
 SMALL = SystemParams(
@@ -117,6 +129,25 @@ def test_random_caching_degenerate_capacity():
 def test_random_caching_full_library():
     scn, _ = single_fap([[0.6, 0.4]], capacity=2.0e6)  # 2 slots = F
     assert random_caching(scn, seed=0).tolist() == [[1, 1]]
+
+
+def test_random_caching_rows_draw_under_their_own_keys(small_instance):
+    """Row m is the uniform draw of the weighted sampler under
+    derive_key(seed, 0xBA5E, m)."""
+    scn, _ = small_instance
+    x = random_caching(scn, seed=5)
+    assert x.dtype == np.uint8
+    for m in range(3):
+        row = weighted_sample(np.ones(6), 2, derive_key(5, 0xBA5E, m))
+        assert x[m].tolist() == row.tolist()
+
+
+def test_random_caching_is_uniform_over_subsets():
+    """Over 6000 seeds, each 2-subset of 6 contents is cached about
+    equally often, whatever the demand."""
+    scn, _ = single_fap([[0.9, 0.05, 0.02, 0.01, 0.01, 0.01]])
+    picks = np.concatenate([random_caching(scn, seed) for seed in range(6000)])
+    assert_subsets_follow(picks.astype(bool), successive_sampling_law([1.0] * 6, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +264,37 @@ def test_exhaustive_refuses_big_instances():
     rates = make_rates(
         access=[[1e6, 1e6], [1e6, 1e6]], coop=[[0.0, 1e6], [1e6, 0.0]]
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="instance has 40 cells, exhaustive search capped at 24"):
         exhaustive_optimal(scn, rates, Partition.singletons(2), size_cap=24)
+
+
+def test_exhaustive_leaves_a_cache_empty_where_its_copies_gain_nothing():
+    """The oracle searches rows of at most ``slots`` contents, so a cache
+    whose copies save no surcharge, only cost holding energy, stays
+    empty.  At 3 GB every cache of ``configs/small.yaml`` holds the
+    whole library.  On seed 0, F-AP 1 shares a cluster with F-AP 2 and
+    the intra-cluster hop is free, so F-AP 2's copies serve F-AP 1's
+    user at no surcharge: the other schemes fill every row, and the
+    oracle leaves row 1 empty (10425.6378 against 10425.7863).  On gate
+    seed 61, F-AP 0 has no users, and the oracle leaves its row empty."""
+    spec = load_config(str(CONFIGS / "small.yaml"))
+    params = replace(spec.system, capacity=3 * 8.0e9)
+    scn, rates, _, part = _build_cell(spec, params, 0)
+    assert capacity_slots(params) == params.num_contents == 6
+    assert params.intra_cluster_hop == "free"
+    assert part.member_of[1] == part.member_of[2] != part.member_of[0]
+    x, best = exhaustive_optimal(scn, rates, part)
+    assert x.sum(axis=1).tolist() == [6, 0, 6]
+    full = PlacementEvaluator(scn, rates, part).evaluate(np.ones_like(x))
+    assert round(best.objective, 4) == 10425.6378
+    assert round(full.objective, 4) == 10425.7863
+    for scheme in (random_caching(scn, 0), greedy_local(scn)):
+        assert (scheme == 1).all()
+
+    scn, rates, part = gate_instance(61)
+    x, _ = exhaustive_optimal(scn, rates, part)
+    assert not (scn.local_fap == 0).any()
+    assert x.sum(axis=1).tolist() == [0, 2, 2]
 
 
 def test_exhaustive_is_deterministic(toy2):

@@ -1,6 +1,7 @@
 """Swarm optimizer: brightness, moves, repair, and full runs."""
 
 import dataclasses
+import itertools
 import math
 from pathlib import Path
 from types import SimpleNamespace
@@ -23,15 +24,17 @@ from fogcache import (
     run_fa,
     run_hcg,
 )
-from fogcache._kernels import _PACKED_MOVE_MAX, derive_key, get_backend, rng_for
+from fogcache._kernels import _PACKED_MOVE_MAX, derive_key, get_backend, weighted_sample
 
 from conftest import (
+    assert_subsets_follow,
     flat_order,
     law_step,
     make_params,
     make_rates,
     make_scenario,
     packed_move,
+    successive_sampling_law,
 )
 
 
@@ -236,16 +239,18 @@ def test_repair_kernel_rejects_non_contiguous_rows():
 
 
 # ---------------------------------------------------------------------------
-# the initial swarm against one rng.choice per row
+# the initial swarm: the law of one rng.choice per row, from the
+# counter-based sampler
 
 
 def reference_initial_swarm(scenario, slots, count, seed):
     """The initial swarm by ``Generator.choice``: firefly by firefly, row
     m draws ``slots`` contents without replacement with the weights of
-    row m of the popularity, uniform for an F-AP with no users."""
+    row m of the popularity, uniform for an F-AP with no users.  The
+    sampler draws from the same law, with other bits."""
     params = scenario.params
     pop_rows = scenario.popularity
-    rng = rng_for(seed, firefly._STREAM_INIT)
+    rng = np.random.default_rng(seed)
     uniform = np.full(params.num_contents, 1.0 / params.num_contents)
     swarm = []
     for _ in range(count):
@@ -270,6 +275,8 @@ def weights_only(popularity):
 
 
 def assert_initial_swarm_is_reference(scenario, slots, count, seed):
+    """Where the weights force every row's draw, the swarm is the
+    reference's, bit for bit."""
     got = firefly._initial_swarm(scenario, slots, count, seed)
     want = reference_initial_swarm(scenario, slots, count, seed)
     assert got.dtype == np.uint8 and got.shape == want.shape
@@ -277,21 +284,41 @@ def assert_initial_swarm_is_reference(scenario, slots, count, seed):
     assert (got.sum(axis=2) == slots).all()
 
 
+def assert_rows_follow(swarm, weights, slots):
+    """Each row of the fireflies of ``swarm``, as a subset, follows the
+    exact law of drawing ``slots`` contents by ``weights[m]``."""
+    for m, w in enumerate(weights):
+        law = successive_sampling_law(w if sum(w) > 0 else [1.0] * len(w), slots)
+        assert_subsets_follow(swarm[:, m].astype(bool), law)
+
+
 @pytest.mark.parametrize("name, seed", [("small", s) for s in range(5)]
                          + [("full_scale", s) for s in range(3)])
 def test_initial_swarm_equals_rng_choice_on_the_configs(name, seed):
+    """In law: every (F-AP, content) is cached by as large a share of the
+    swarm as of the reference's fireflies, within 6 standard deviations
+    of the difference of the two binomial shares."""
     cfg = load_config(str(CONFIGS / f"{name}.yaml"))
     scn = generate_scenario(cfg.system, seed)
     slots = capacity_slots(cfg.system)
     assert 0 < slots < cfg.system.num_contents
-    assert_initial_swarm_is_reference(scn, slots, cfg.fa.population, seed)
+    count = 200 if name == "full_scale" else 1000
+    swarm = firefly._initial_swarm(scn, slots, count, seed)
+    assert swarm.dtype == np.uint8
+    assert (swarm.sum(axis=2) == slots).all()
+    got = swarm.mean(axis=0)
+    want = reference_initial_swarm(scn, slots, count, seed).mean(axis=0)
+    pooled = (got + want) / 2
+    assert (np.abs(got - want) <= 6 * np.sqrt(pooled * (1 - pooled) * 2 / count)).all()
 
 
 def test_initial_swarm_equals_rng_choice_for_an_idle_fap():
-    """An F-AP with no users draws from the uniform row."""
+    """In law: an F-AP with no users draws from the uniform row, the
+    others by their weights.  Over 20 000 fireflies each row's subsets
+    follow the exact law, as the reference's do over 4000."""
     w = [[0.5, 0.3, 0.2, 0.0, 0.0, 0.0], [0.0] * 6, [0.1, 0.1, 0.2, 0.2, 0.3, 0.1]]
-    for seed in range(5):
-        assert_initial_swarm_is_reference(weights_only(w), 2, 8, seed)
+    assert_rows_follow(firefly._initial_swarm(weights_only(w), 2, 20_000, 0), w, 2)
+    assert_rows_follow(reference_initial_swarm(weights_only(w), 2, 4000, 0), w, 2)
 
 
 @pytest.mark.parametrize("slots", [0, 6], ids=["slots-0", "slots-F"])
@@ -302,10 +329,11 @@ def test_initial_swarm_equals_rng_choice_at_the_slot_ends(slots):
 
 
 def test_initial_swarm_equals_rng_choice_with_exactly_slots_positive_weights():
-    w = [[0.0, 0.7, 0.0, 0.2, 0.1, 0.0], [0.25, 0.0, 0.25, 0.0, 0.25, 0.25]]
+    w = [[0.0, 0.7, 0.0, 0.2, 0.1, 0.0], [0.25, 0.0, 0.25, 0.0, 0.5, 0.0]]
     for seed in range(5):
         got = firefly._initial_swarm(weights_only(w), 3, 6, seed)
         assert (got[:, 0] == [0, 1, 0, 1, 1, 0]).all()
+        assert (got[:, 1] == [1, 0, 1, 0, 1, 0]).all()
     for seed in range(5):
         assert_initial_swarm_is_reference(weights_only(w), 3, 6, seed)
 
@@ -313,66 +341,60 @@ def test_initial_swarm_equals_rng_choice_with_exactly_slots_positive_weights():
 HEAVY_HEAD = [[0.9, 0.04, 0.03, 0.02, 0.01, 0.0]]
 
 
-def test_initial_swarm_equals_rng_choice_over_several_rounds(monkeypatch):
-    """A heavy head redraws: most uniforms of a round land on content 0,
-    so the row needs more rounds, each on the uniforms after the last."""
-    cdf = firefly._cdf
-    built = []
-    monkeypatch.setattr(firefly, "_cdf", lambda p: built.append(1) or cdf(p))
-    assert_initial_swarm_is_reference(weights_only(HEAVY_HEAD), 4, 1, 4)
-    assert len(built) >= 3  # the row's first CDF, then one per further round
-    for seed in range(5):
-        assert_initial_swarm_is_reference(weights_only(HEAVY_HEAD), 4, 20, seed)
+def test_initial_swarm_equals_rng_choice_over_several_rounds():
+    """In law, on a heavy head, which ``rng.choice`` draws in several
+    rounds, as most uniforms of a round land on content 0: over 20 000
+    fireflies the subsets follow the exact law, as the reference's do
+    over 4000."""
+    assert_rows_follow(firefly._initial_swarm(weights_only(HEAVY_HEAD), 4, 20_000, 4),
+                       HEAVY_HEAD, 4)
+    assert_rows_follow(reference_initial_swarm(weights_only(HEAVY_HEAD), 4, 4000, 4),
+                       HEAVY_HEAD, 4)
 
 
-def stream_uniforms(seed, count):
-    """The first uniforms of the initial swarm's stream."""
-    return rng_for(seed, firefly._STREAM_INIT).random(count)
+def test_initial_swarm_fills_rows_of_few_positive_weights_with_the_lowest_zeros():
+    """A row with fewer positive weights than slots caches every content
+    of positive weight, then the zero-weight contents of lowest id; one
+    ``rng.choice`` per row refuses such a row."""
+    w = [[0.0, 0.7, 0.0, 0.3, 0.0, 0.0], [0.0] * 6]
+    got = firefly._initial_swarm(weights_only(w), 4, 5, 0)
+    assert (got[:, 0] == [1, 1, 1, 1, 0, 0]).all()
+    assert (got.sum(axis=2) == 4).all()
+    with pytest.raises(ValueError, match="non-zero"):
+        reference_initial_swarm(weights_only(w), 4, 5, 0)
 
 
-def test_initial_swarm_takes_the_content_right_of_a_tied_cdf_step():
-    """A uniform that lands exactly on a step of the CDF takes the next
-    content of positive weight, as ``searchsorted(side="right")`` does,
-    in the first round and in a later one.  Each row's weights put a
-    step exactly at a uniform of the stream (u >= 1/2, so 1 - u is
-    exact and the steps add up to 1 without rounding)."""
-    seed = next(s for s in range(100) if stream_uniforms(s, 1)[0] >= 0.5)
-    u = stream_uniforms(seed, 1)[0]
-    row = weights_only([[u, 0.0, 1.0 - u]])  # CDF [u, u, 1]
-    assert firefly._initial_swarm(row, 1, 1, seed)[0].tolist() == [[0, 0, 1]]
-    assert_initial_swarm_is_reference(row, 1, 1, seed)
-    # both uniforms of round 1 land on content 0; the one of round 2 lands
-    # on the CDF step v of [0, v, v, 1], content 0's weight zeroed
-    tail = 2.0**-10
-    seed = next(s for s in range(1000)
-                if max(stream_uniforms(s, 2)) < 1 - tail <= 2 * stream_uniforms(s, 3)[2])
-    v = stream_uniforms(seed, 3)[2]
-    row = weights_only([[1 - tail, v * tail, 0.0, (1 - v) * tail]])
-    assert firefly._initial_swarm(row, 2, 1, seed)[0].tolist() == [[1, 0, 0, 1]]
-    assert_initial_swarm_is_reference(row, 2, 1, seed)
+def test_initial_swarm_rows_draw_under_their_own_keys():
+    """Row m of firefly j is the sampler's draw under
+    derive_key(seed, 0xF1, j, m), with the uniform row for an F-AP with
+    no users."""
+    w = np.array([[0.5, 0.3, 0.2, 0.0, 0.0, 0.0], [0.0] * 6, [0.1, 0.1, 0.2, 0.2, 0.3, 0.1]])
+    got = firefly._initial_swarm(weights_only(w), 2, 7, 13)
+    for j, m in itertools.product(range(7), range(3)):
+        row = w[m] if w[m].sum() > 0 else np.ones(6)
+        key = derive_key(13, firefly._STREAM_INIT, j, m)
+        assert got[j, m].tolist() == weighted_sample(row, 2, key).tolist()
 
 
-@pytest.mark.parametrize("w, size", [
-    (HEAVY_HEAD[0], 4),
-    ([0.3, 0.3, 0.2, 0.1, 0.1, 0.0], 3),
-    ([1 / 1000] * 1000, 100),
-], ids=["heavy-head", "short", "uniform-1000"])
-def test_choose_returns_what_rng_choice_returns(w, size):
-    """The draw of one row, order included: the first occurrence of each
-    content, in draw order, round after round."""
-    w = np.asarray(w)
-    for seed in range(10):
-        stream = firefly._Uniforms(rng_for(seed, firefly._STREAM_INIT), size)
-        got = firefly._choose(w, firefly._cdf(w), size, stream)
-        want = rng_for(seed, firefly._STREAM_INIT).choice(w.size, size, replace=False, p=w)
-        assert got == want.tolist()
+@pytest.mark.parametrize("name", ["small", "full_scale"])
+def test_initial_swarm_of_5_is_the_head_of_a_swarm_of_30(name):
+    cfg = load_config(str(CONFIGS / f"{name}.yaml"))
+    scn = generate_scenario(cfg.system, 2)
+    slots = capacity_slots(cfg.system)
+    head = firefly._initial_swarm(scn, slots, 30, 2)[:5]
+    assert np.array_equal(head, firefly._initial_swarm(scn, slots, 5, 2))
 
 
-def test_initial_swarm_rejects_fewer_positive_weights_than_slots():
-    scn = weights_only(HEAVY_HEAD)
-    for draw in (firefly._initial_swarm, reference_initial_swarm):
-        with pytest.raises(ValueError, match="non-zero"):
-            draw(scn, 6, 2, 0)
+@pytest.mark.parametrize("block", [1, 40])
+def test_initial_swarm_is_the_same_in_any_block_size(monkeypatch, block):
+    """One firefly a call (block 1), two (block 40), or the whole swarm
+    (the default, on the small config) draw the same swarm."""
+    cfg = load_config(str(CONFIGS / "small.yaml"))
+    scn = generate_scenario(cfg.system, 1)
+    slots = capacity_slots(cfg.system)
+    whole = firefly._initial_swarm(scn, slots, 25, 1)
+    monkeypatch.setattr(firefly, "_SAMPLE_BLOCK", block)
+    assert np.array_equal(firefly._initial_swarm(scn, slots, 25, 1), whole)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ both sides of the packed search's cutoff: at keys that draw exactly one
 below and at each threshold, and in frequency over many keys.  Both
 kernels are checked against dense references on full-scale swarms.  The repair
 kernel and the evaluator's surcharge tables are also checked against
-their scalar references in test_firefly.py and test_cache.py.
+their scalar references in test_firefly.py and test_cache.py.  The
+weighted sampler is checked against the exact law of successive
+sampling, subset by subset, and at its edges.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fogcache import _kernels
 from fogcache import (
     build_rate_table,
     build_social_graph,
@@ -39,10 +42,20 @@ from fogcache._kernels import (
     fold_keys,
     get_backend,
     mix64,
+    weighted_sample,
 )
 from fogcache.config import load_config
 
-from conftest import GOLDEN, flat_order, law_chances, law_step, packed_move, uniform_at
+from conftest import (
+    GOLDEN,
+    assert_subsets_follow,
+    flat_order,
+    law_chances,
+    law_step,
+    packed_move,
+    successive_sampling_law,
+    uniform_at,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -498,3 +511,94 @@ def test_repair_matches_reference_on_both_formulations(shape, slots):
         get_backend().repair(x, flat, slots)
         assert np.array_equal(x, expected), density
         assert (x.sum(axis=1) == slots).all()
+
+
+# ---------------------------------------------------------------------------
+# the weighted sampler
+
+
+LAW_CASES = {
+    "heavy-head": ([0.9, 0.04, 0.03, 0.02, 0.01, 0.0], 4),
+    "zipf-like": ([0.5, 0.3, 0.1, 0.05, 0.03, 0.02], 2),
+    "two-zeros": ([0.3, 0.3, 0.2, 0.1, 0.1, 0.0], 3),
+    "unnormalized": ([2.0, 1.0, 1.0, 4.0], 3),
+    "uniform": ([1.0] * 5, 2),
+    "one-of-six": ([0.05, 0.1, 0.15, 0.2, 0.25, 0.25], 1),
+}
+
+
+@pytest.mark.parametrize("case", LAW_CASES)
+def test_weighted_sample_follows_successive_sampling(case):
+    """Over 24 000 keys, each k-subset turns up as often as the exact
+    law of drawing one content at a time by its share of the weight
+    left says, and no other subset turns up."""
+    w, k = LAW_CASES[case]
+    picks = weighted_sample(w, k, derive_key(7, len(w), k), np.arange(24_000))
+    assert picks.shape == (24_000, len(w))
+    assert (picks.sum(axis=1) == k).all()
+    assert_subsets_follow(picks, successive_sampling_law(w, k))
+
+
+def test_weighted_sample_binds_each_row_to_its_key():
+    """Row (j, m) of a broadcast call draws what a one-row call under
+    derive_key(seed, tag, j, m) draws, whatever the rows around it."""
+    w = np.random.default_rng(3).random((4, 50))
+    key = derive_key(11, 0xF1)
+    picks = weighted_sample(w, 7, key, np.arange(5)[:, None], np.arange(4))
+    assert picks.shape == (5, 4, 50)
+    for j, m in itertools.product(range(5), range(4)):
+        row = weighted_sample(w[m], 7, derive_key(11, 0xF1, j, m))
+        assert np.array_equal(picks[j, m], row)
+
+
+@pytest.mark.parametrize("k", [0, 6])
+def test_weighted_sample_at_no_and_every_content(k):
+    """k = 0 picks nothing and k = F everything, zero weights included."""
+    w = [[0.5, 0.0, 0.2, 0.3, 0.0, 0.0], [0.0] * 6]
+    picks = weighted_sample(w, k, 3, np.arange(4)[:, None], np.arange(2))
+    assert picks.shape == (4, 2, 6)
+    assert (picks == bool(k)).all()
+
+
+def test_weighted_sample_fills_zero_weights_last_lowest_id_first():
+    """With fewer positive weights than picks, every positive weight is
+    picked, and the zeros fill up from the lowest content id."""
+    picks = weighted_sample([0.0, 0.5, 0.0, 0.5, 0.0, 0.0], 4, 9, np.arange(500))
+    assert (picks == [True, True, True, True, False, False]).all()
+    picks = weighted_sample([0.0] * 5, 2, 9, np.arange(50))
+    assert (picks == [True, True, False, False, False]).all()
+
+
+def test_weighted_sample_breaks_ties_toward_the_lower_id(monkeypatch):
+    """With every draw equal, the key of a content is set by its weight
+    alone; the tie at the k-th key goes to the lower content id."""
+    monkeypatch.setattr(_kernels, "_draws",
+                        lambda keys, n: np.zeros(np.shape(keys)[:-1] + (n,), np.int64))
+    assert weighted_sample([1.0, 2.0, 2.0, 1.0], 3, 0).tolist() == [True, True, True, False]
+    assert weighted_sample([1.0] * 4, 2, 0).tolist() == [True, True, False, False]
+
+
+def test_weighted_sample_at_a_subnormal_weight_warns_nothing():
+    """The textbook key log(u) / w overflows at w = 5e-324; the sampler
+    ranks by log(-log u) - log w, which does not, and still takes a
+    subnormal weight before a zero one."""
+    w = np.array([5e-324, 1.0, 1.0, 1.0])
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        np.log(np.full(1, 0.5)) / w[:1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        picks = weighted_sample(w, 3, 4, np.arange(2000))
+        assert (picks == [False, True, True, True]).all()
+        picks = weighted_sample([0.0, 5e-324, 1.0], 2, 4, np.arange(2000))
+        assert (picks == [False, True, True]).all()
+
+
+@pytest.mark.parametrize("w, k, message", [
+    ([0.5, 0.5], 3, "cannot pick 3 of 2"),
+    ([0.5, 0.5], -1, "cannot pick -1 of 2"),
+    ([0.5, -0.5], 1, "non-negative"),
+    ([0.5, np.nan], 1, "non-negative"),
+], ids=["k-above-F", "negative-k", "negative-weight", "nan-weight"])
+def test_weighted_sample_rejects_bad_input(w, k, message):
+    with pytest.raises(ValueError, match=message):
+        weighted_sample(w, k, 0)
