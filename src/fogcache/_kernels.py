@@ -2,9 +2,9 @@
 
 Two hot spots of a simulation run live here: the binary move of one
 firefly toward its brighter peers, and the capacity repair sweep.
-:class:`Backend` bundles them behind one calling convention; the
-optimizer reaches them through :func:`get_backend`.  Placement
-surcharges are gathered from the rank tables of
+:class:`Backend` bundles their numpy formulations behind one calling
+convention; the optimizer reaches them through :func:`get_backend`.
+Placement surcharges are gathered from the rank tables of
 :class:`fogcache.cache.PlacementEvaluator`.
 
 Randomness inside the kernels is counter-based: the draw of flat
@@ -22,9 +22,10 @@ its draw is below ``int(P * 2**53)``, P its p or q.  The move has two
 formulations that make that integer comparison, so they agree bit for
 bit: :func:`_move_np` steps numpy rows, and :func:`_move_packed` steps
 rows packed into Python ints, with the draws and thresholds of a whole
-batch of steps made up front by :func:`_step_batch`.  The optimizer
-keeps a placement of at most ``_PACKED_MOVE_MAX`` entries packed for
-its whole search.
+batch of steps made up front by :func:`_step_batch`.  The repair has the
+same two forms, :func:`_repair_np` and :func:`_repair_packed`.  The
+optimizer keeps a placement of at most ``_PACKED_MOVE_MAX`` entries
+packed for its whole search, and calls no numpy kernel on it.
 
 :func:`weighted_sample` draws k distinct contents per row by weight,
 from the same draws: the initial swarm and the random baseline both
@@ -340,10 +341,12 @@ def _move_np(swarm: np.ndarray, j: int, peers: np.ndarray, pull: np.ndarray,
             xb[hit] = ~xb[hit]  # a differing element that changes takes the peer's value
 
 
-# placements of fewer entries repair with the fewest numpy calls, larger
-# ones with the fewest passes over all entries; the two cost the same
-# at about 2-3k entries (15 x 200) on a 2-vCPU machine
-_SPARSE_REPAIR_MIN = 4096
+def _repair_packed(row: int, order: list, slots: int) -> int:
+    """:func:`_repair_np` of one packed row, ``order`` its content bits
+    ``1 << f`` from the most to the least locally popular."""
+    held = [b for b in order if row & b][:slots]
+    free = [b for b in order if not row & b][:slots - len(held)]
+    return sum(held) + sum(free)
 
 
 def _repair_np(x: np.ndarray, flat: np.ndarray, slots: int) -> None:
@@ -354,24 +357,15 @@ def _repair_np(x: np.ndarray, flat: np.ndarray, slots: int) -> None:
     the first ``slots`` entries of "its cached contents in priority
     order, then its uncached ones in priority order": a row over budget
     evicts its least popular cached contents, and a row under budget
-    takes the most popular uncached ones until full.  A placement of
-    ``_SPARSE_REPAIR_MIN`` entries or more writes only the entries that
-    change.
+    takes the most popular uncached ones until full.  Only the entries
+    that change are written.
     """
-    n_cols = x.shape[1]
     # one flat index gathers and scatters faster than a 2-D fancy index;
     # only a C-contiguous x has a flat view that writes through
     if not x.flags.c_contiguous:
         raise ValueError("repair needs a C-contiguous placement")
     xf = x.reshape(-1)
     cached = xf[flat] != 0
-    if x.size < _SPARSE_REPAIR_MIN:
-        # position of a cached entry: its rank among the cached ones; of an
-        # uncached one: all cached ones, then the uncached ones up to it
-        rank = np.cumsum(cached, axis=1, dtype=np.int32)
-        hole = rank[:, -1:] + np.arange(1, n_cols + 1, dtype=np.int32) - rank
-        xf[flat] = np.where(cached, rank, hole) <= slots
-        return
     total = cached.sum(axis=1)
     # evict every cached entry past the first `slots` of its row; held
     # lists the cached entries row by row, in priority order
@@ -396,9 +390,10 @@ class Backend:
 
     Placement surcharges are no kernel of their own: the evaluator
     gathers them from its rank and chunk tables (see
-    :class:`fogcache.cache.PlacementEvaluator`).  ``hamming`` has no
-    caller in the package; the benchmark's tracer times it together
-    with ``move`` and ``repair``.
+    :class:`fogcache.cache.PlacementEvaluator`).  Only the search of
+    placements of more than ``_PACKED_MOVE_MAX`` entries calls ``move``
+    and ``repair``.  ``hamming`` has no caller in the package; the
+    benchmark's tracer times it together with ``move`` and ``repair``.
     """
 
     name: str

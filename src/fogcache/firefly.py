@@ -10,15 +10,16 @@ with a fixed chance (see :mod:`fogcache._kernels`).  Moves are
 immediately visible within the same iteration, so one firefly can be
 pulled by an already-updated peer.  After moving, a
 firefly is repaired to the capacity budget with a popularity-guided
-rule.  The best placement ever seen is kept outside the swarm, so the
-reported history never worsens.
+rule; the initial swarm is drawn full, and only checked.  The best
+placement ever seen is kept outside the swarm, so the reported history
+never worsens.
 
 A placement of at most ``_PACKED_MOVE_MAX`` (63) entries is searched on
 packed ints: each firefly stays one Python int for the whole run, the
 steps of a block of fireflies draw in one batch, and the repair of a
 row and the score of a placement are each computed once per run and
-looked up after that.  Longer placements move as uint8 matrices through
-the numpy kernels.  Both forms give the same result, bit for bit.
+looked up after that.  Longer placements are uint8 matrices, moved and
+repaired by the numpy kernels.  Both forms agree bit for bit.
 
 All randomness is counter-based.  Row m of firefly j of the initial
 swarm draws under the key ``derive_key(seed, 0xF1, j, m)``, and the
@@ -41,6 +42,7 @@ from ._kernels import (
     _PACKED_MOVE_MAX,
     _move_packed,
     _packed_constants,
+    _repair_packed,
     _step_batch,
     derive_key,
     fold_keys,
@@ -72,7 +74,7 @@ class FaConfig:
     population: int = 30
     max_iters: int = 200
     gamma: float = 0.001  # attractiveness decay per unit Hamming distance
-    lambda_rand: float = 0.5  # randomization strength
+    lambda_rand: float = 1.0  # randomization strength; at 1, p = beta and q = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -141,6 +143,12 @@ def _initial_swarm(
     return swarm
 
 
+def _check_capacity(swarm, params):
+    """Raise if a cache of any firefly of ``swarm`` is over budget."""
+    if not feasible(swarm.reshape(-1, params.num_contents), params):
+        raise AssertionError("swarm left the capacity region")
+
+
 # a draw batch covers the fireflies of one block, at most this many
 # (firefly, peer) steps unless one firefly alone has more peers
 _BATCH_STEPS = 2048
@@ -154,7 +162,6 @@ class _Swarm:
     """
 
     def __init__(self, evaluator, slots, config):
-        self.be = get_backend()
         self.evaluator = evaluator
         self.params = evaluator.scenario.params
         self.slots = slots
@@ -168,14 +175,12 @@ class _MatrixSwarm(_Swarm):
 
     def __init__(self, swarm, evaluator, slots, config):
         super().__init__(evaluator, slots, config)
+        self.be = get_backend()
         self.swarm = swarm
         self.rows = swarm.reshape(len(swarm), -1)
         # the repair takes the priority order as flat indices into a placement
         n_rows, n_cols = swarm.shape[1:]
         self.prio = evaluator.scenario.priority + n_cols * np.arange(n_rows)[:, None]
-        for x in swarm:
-            self.be.repair(x, self.prio, self.slots)
-        self._check(swarm.reshape(-1, n_cols))
 
     def move(self, block, brighter, intensity, keys):
         """Move and repair each firefly of ``block`` in turn, toward the
@@ -186,11 +191,7 @@ class _MatrixSwarm(_Swarm):
             self.be.move(self.rows, j, pj, intensity[pj], cfg.gamma,
                          cfg.lambda_rand, keys[j, pj])
             self.be.repair(self.swarm[j], self.prio, self.slots)
-        self._check(self.swarm.reshape(-1, self.swarm.shape[2]))
-
-    def _check(self, x):
-        if not feasible(x, self.params):
-            raise AssertionError("swarm left the capacity region")
+        _check_capacity(self.swarm, self.params)
 
     def score(self, j):
         return self.evaluator.evaluate(self.swarm[j])
@@ -209,31 +210,29 @@ class _PackedSwarm(_Swarm):
     A block's moves share their numpy calls: the draws and thresholds of
     every step of the block come from one :func:`_step_batch`.  The repair
     looks each row up by its code, and the score each placement by its
-    code; a miss runs the repair kernel on that row, or the evaluator on
-    that placement, and keeps the result for the rest of the run.
+    code; a miss runs :func:`_repair_packed` on that row, or the evaluator
+    on that placement, and keeps the result for the rest of the run.
     """
 
     def __init__(self, swarm, evaluator, slots, config):
         super().__init__(evaluator, slots, config)
         self.shape = swarm.shape[1:]
-        self.e, self.weight, _ = _packed_constants(swarm[0].size, config.gamma)
+        self.e, weight, _ = _packed_constants(swarm[0].size, config.gamma)
         self.row_bits = (1 << self.shape[1]) - 1
         self.fixed = [{} for _ in range(self.shape[0])]  # row code -> repaired
+        # row m's content bits in its priority order
+        self.order = [[1 << f for f in p] for p in evaluator.scenario.priority.tolist()]
         self.scores = {}  # placement code -> EvalResult
-        codes = (swarm.reshape(len(swarm), -1) @ self.weight).tolist()
-        self.codes = [self._repair(x) for x in codes]
+        self.codes = (swarm.reshape(len(swarm), -1) @ weight).tolist()
 
     def _repair(self, x):
         n_cols = self.shape[1]
         out = 0
-        for m, fixed in enumerate(self.fixed):
+        for m, (fixed, order) in enumerate(zip(self.fixed, self.order)):
             row = (x >> (m * n_cols)) & self.row_bits
             done = fixed.get(row)
             if done is None:
-                r = ((row >> self.e[:n_cols]) & 1).astype(np.uint8)[None, :]
-                # a one-row placement: its priority order is row m's
-                self.be.repair(r, self.evaluator.scenario.priority[m:m + 1], self.slots)
-                done = fixed[row] = int(r[0] @ self.weight[:n_cols])
+                done = fixed[row] = _repair_packed(row, order, self.slots)
                 if done.bit_count() > self.slots:
                     raise AssertionError("swarm left the capacity region")
             out |= done << (m * n_cols)
@@ -283,11 +282,10 @@ def run_fa(
     params = scenario.params
     evaluator = PlacementEvaluator(scenario, rates, partition)
     slots = capacity_slots(params)
+    initial = _initial_swarm(scenario, slots, config.population, config.seed)
+    _check_capacity(initial, params)
     packed = params.num_faps * params.num_contents <= _PACKED_MOVE_MAX
-    swarm = (_PackedSwarm if packed else _MatrixSwarm)(
-        _initial_swarm(scenario, slots, config.population, config.seed),
-        evaluator, slots, config,
-    )
+    swarm = (_PackedSwarm if packed else _MatrixSwarm)(initial, evaluator, slots, config)
     evals = [swarm.score(j) for j in range(config.population)]
     objectives = np.asarray([e.objective for e in evals])
 
@@ -305,7 +303,7 @@ def run_fa(
         keys = fold_keys(
             derive_key(config.seed, _STREAM_MOVE, q), ids[:, None], ids[None, :]
         )
-        # a firefly with no brighter peer stays put: it stays repaired,
+        # a firefly with no brighter peer stays put: it stays in budget,
         # and its unchanged objective cannot beat the incumbent
         moved = np.flatnonzero(intensity < intensity.max())
         for b in range(0, moved.size, per_block):

@@ -38,6 +38,9 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance gates")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+    # the code size the benchmark reports: newlines over src/**/*.py
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.rglob("*.py"))
+    terminalreporter.write_line(f"src_lines: {lines}")
 
 
 def subprocess_env(**extra) -> dict:

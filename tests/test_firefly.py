@@ -24,7 +24,13 @@ from fogcache import (
     run_fa,
     run_hcg,
 )
-from fogcache._kernels import _PACKED_MOVE_MAX, derive_key, get_backend, weighted_sample
+from fogcache._kernels import (
+    _PACKED_MOVE_MAX,
+    _repair_packed,
+    derive_key,
+    get_backend,
+    weighted_sample,
+)
 
 from conftest import (
     assert_subsets_follow,
@@ -227,6 +233,23 @@ def test_repair_agrees_with_batch_kernel():
         for m in range(6):
             expected = repair(rows[m], pop[m], slots)
             assert np.array_equal(batch[m], expected), (slots, m)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_packed_repair_agrees_with_scalar_repair_on_every_row(n):
+    """Every row code of n contents at every budget, under distinct,
+    tied and all-zero (idle F-AP) popularity."""
+    rng = np.random.default_rng(n)
+    pops = [rng.random(n), rng.integers(0, 3, size=n) / 3.0, np.zeros(n)]
+    for pop in pops:
+        order = [1 << f for f in np.argsort(-pop, kind="stable").tolist()]
+        for slots in range(n + 1):
+            for code in range(1 << n):
+                row = np.array([(code >> f) & 1 for f in range(n)], dtype=np.uint8)
+                expected = repair(row, pop, slots)
+                got = _repair_packed(code, order, slots)
+                assert got == sum(1 << f for f in np.flatnonzero(expected).tolist()), (
+                    pop, slots, code)
 
 
 def test_repair_kernel_rejects_non_contiguous_rows():
@@ -432,7 +455,7 @@ def test_run_fa_finds_single_slot_optimum():
 
 
 def test_run_fa_degenerate_swarm_stays_put():
-    # two contents, two slots: repair fills every firefly to all-ones,
+    # two contents, two slots: the sampler fills every firefly to all-ones,
     # so the swarm is uniform from the start and nothing can move; the
     # run still takes every iteration of its budget
     scn, rates = one_fap_instance([0.7, 0.3], capacity=2.0e6)
@@ -626,9 +649,19 @@ def test_packed_search_takes_placements_of_at_most_63_entries(monkeypatch, conte
     assert made == ["_PackedSwarm" if contents <= 63 else "_MatrixSwarm"]
 
 
-def over_budget_repair(monkeypatch):
-    """Patch the repair kernel that run_fa calls to leave the first row
-    of each placement it repairs one slot over budget."""
+def over_budget_repair(monkeypatch, form):
+    """Patch the repair that run_fa calls to leave each row it repairs
+    one slot over budget: the packed search's row repair, or in the
+    matrix search the numpy kernel's first row of each placement."""
+    if form == "packed":
+        real_packed = firefly._repair_packed
+
+        def repair_packed(row, order, slots):
+            done = real_packed(row, order, slots)
+            return done | next(b for b in order if not done & b)
+
+        monkeypatch.setattr(firefly, "_repair_packed", repair_packed)
+        return
     real = get_backend()
 
     def repair(x, prio, slots):
@@ -642,8 +675,8 @@ def over_budget_repair(monkeypatch):
 
 @pytest.mark.parametrize("form", ["packed", "matrix"])
 def test_run_fa_asserts_the_capacity_region(monkeypatch, form):
-    """Both swarm forms check the repair kernel's result: the packed one
-    on the small config, the matrix one on a 64-entry placement."""
+    """Both swarm forms check their repair's result: the packed one on
+    the small config, the matrix one on a 64-entry placement."""
     if form == "packed":
         params = SMALL.system
     else:
@@ -653,10 +686,23 @@ def test_run_fa_asserts_the_capacity_region(monkeypatch, form):
     slots = capacity_slots(params)
     assert 0 < slots < params.num_contents
     assert (params.num_faps * params.num_contents <= _PACKED_MOVE_MAX) == (form == "packed")
-    over_budget_repair(monkeypatch)
+    over_budget_repair(monkeypatch, form)
     with pytest.raises(AssertionError, match="^swarm left the capacity region$"):
         run_fa(scn, build_rate_table(scn), Partition.singletons(params.num_faps),
                FaConfig(population=4, max_iters=2, seed=1))
+
+
+def test_default_lambda_improves_on_the_initial_swarm_at_full_scale():
+    """The default lambda_rand 1 (p = beta, q = 0) keeps a full-scale
+    swarm recombining; below 1 every step with beta < (1 - lambda) / 2
+    is cancelled, which freezes this search at its initial best."""
+    assert FaConfig().lambda_rand == 1.0
+    spec = load_config(str(CONFIGS / "full_scale.yaml"))
+    scn = generate_scenario(spec.system, seed=0)
+    rates = build_rate_table(scn)
+    part = run_hcg(build_social_graph(scn, rates), spec.hcg).partition
+    res = run_fa(scn, rates, part, FaConfig(population=20, max_iters=20))
+    assert res.history[-1][0] < res.history[0][0]
 
 
 def test_fa_config_validation():

@@ -5,12 +5,15 @@ sequence for seed 0.  The move kernel, and on rows of at most 63
 entries the step loop of the optimizer's packed search, are checked
 against the per-bit law, element by element in pure Python, on rows on
 both sides of the packed search's cutoff: at keys that draw exactly one
-below and at each threshold, and in frequency over many keys.  Both
-kernels are checked against dense references on full-scale swarms.  The repair
-kernel and the evaluator's surcharge tables are also checked against
-their scalar references in test_firefly.py and test_cache.py.  The
-weighted sampler is checked against the exact law of successive
-sampling, subset by subset, and at its edges.
+below and at each threshold, and in frequency over many keys.  The move
+and the numpy repair are checked against dense and row-by-row
+references on full-scale swarms, and the numpy and packed repairs
+against the row-by-row reference on small and full-scale shapes; the
+packed search makes no numpy repair call.  Both repairs and the
+evaluator's surcharge tables are also checked against their scalar
+references in test_firefly.py and test_cache.py.  The weighted sampler
+is checked against the exact law of successive sampling, subset by
+subset, and at its edges.
 """
 
 import dataclasses
@@ -34,10 +37,10 @@ from fogcache import (
 )
 from fogcache._kernels import (
     _PACKED_MOVE_MAX,
-    _SPARSE_REPAIR_MIN,
     _chance,
     _draws,
     _golden_steps,
+    _repair_packed,
     derive_key,
     fold_keys,
     get_backend,
@@ -440,14 +443,15 @@ def reference_move(swarm, j, peers, pull, gamma, lam, keys):
 
 
 def reference_repair(x, flat, slots):
-    """The repair kernel as a rank select over every entry of x."""
-    n_rows, n_cols = x.shape
-    flat = flat.ravel()
+    """The repair kernel row by row in Python lists: row m caches the
+    first ``slots`` of its cached entries in the order ``flat[m]``,
+    followed by its uncached ones in that order."""
     xf = x.reshape(-1)
-    cached = (xf[flat] != 0).reshape(n_rows, n_cols)
-    rank = np.cumsum(cached, axis=1)
-    hole_pos = rank[:, -1:] + np.arange(1, n_cols + 1) - rank
-    xf[flat] = (np.where(cached, rank, hole_pos) <= slots).ravel()
+    for row in flat.tolist():
+        held = xf[row].tolist()
+        keep = [e for e, h in zip(row, held) if h] + [e for e, h in zip(row, held) if not h]
+        xf[row] = 0
+        xf[keep[:slots]] = 1
 
 
 @pytest.fixture(scope="module")
@@ -491,6 +495,37 @@ def test_kernels_match_float_references_at_full_scale(monkeypatch, full_scale_ca
         assert sum(flipped) > 1000
 
 
+@pytest.mark.parametrize("form", ["packed", "matrix"])
+def test_each_search_form_repairs_in_its_own_representation(monkeypatch, form):
+    """On configs/small.yaml the packed search calls no numpy kernel, and
+    the matrix search (cutoff at 0) makes one repair call per move call:
+    neither repairs the initial swarm, which the sampler draws full."""
+    spec = load_config(str(CONFIGS / "small.yaml"))
+    scn = generate_scenario(spec.system, seed=0)
+    rates = build_rate_table(scn)
+    part = run_hcg(build_social_graph(scn, rates), spec.hcg).partition
+    real = get_backend()
+    calls = {"move": 0, "repair": 0}
+
+    def counted(name):
+        def kernel(*args):
+            calls[name] += 1
+            return getattr(real, name)(*args)
+        return kernel
+
+    monkeypatch.setattr(
+        firefly, "get_backend",
+        lambda: dataclasses.replace(real, move=counted("move"), repair=counted("repair")),
+    )
+    if form == "matrix":
+        monkeypatch.setattr(firefly, "_PACKED_MOVE_MAX", 0)
+    firefly.run_fa(scn, rates, part, spec.fa)
+    if form == "packed":
+        assert calls == {"move": 0, "repair": 0}
+    else:
+        assert calls["repair"] == calls["move"] > 0
+
+
 @pytest.mark.parametrize(
     "shape, slots",
     [((3, 6), 0), ((3, 6), 2), ((3, 6), 6), ((15, 200), 20), ((15, 300), 30),
@@ -499,18 +534,26 @@ def test_kernels_match_float_references_at_full_scale(monkeypatch, full_scale_ca
     ids=str,
 )
 def test_repair_matches_reference_on_both_formulations(shape, slots):
-    """Empty, full, sparse and dense placements on either side of the
-    size that selects the repair's formulation."""
-    assert 15 * 200 < _SPARSE_REPAIR_MIN <= 15 * 300
+    """Empty, full, sparse and dense placements, small and full-scale,
+    through the numpy repair and, row by row, the packed one."""
     rng = np.random.default_rng(slots)
-    flat = flat_order(np.argsort(-rng.random(shape), axis=1, kind="stable"))
+    prio = np.argsort(-rng.random(shape), axis=1, kind="stable")
+    flat = flat_order(prio)
+    orders = [[1 << f for f in p] for p in prio.tolist()]
+
+    def pack(row):
+        return sum(1 << f for f, b in enumerate(row) if b)
+
     for density in (0.0, 0.02, 0.1, 0.5, 0.98, 1.0):
         x = (rng.random(shape) < density).astype(np.uint8)
         expected = x.copy()
         reference_repair(expected, flat, slots)
+        packed = [_repair_packed(pack(row), order, slots)
+                  for row, order in zip(x.tolist(), orders)]
         get_backend().repair(x, flat, slots)
         assert np.array_equal(x, expected), density
         assert (x.sum(axis=1) == slots).all()
+        assert packed == [pack(row) for row in x.tolist()]
 
 
 # ---------------------------------------------------------------------------
