@@ -16,9 +16,9 @@ the move can make the draws of a whole firefly move in one batch.
 
 The move is the binary firefly step as its per-bit law.  An element
 that differs from the brighter peer takes the peer's value with chance
-``p = clip(1/2 + (beta - 1/2) / lam, 0, 1)``; one that agrees flips
-with chance ``q = max(0, 1/2 - 1/(2 lam))``.  An element changes iff
-its draw is below ``int(P * 2**53)``, P its p or q.  The move has two
+``p = 1/2 + (beta - 1/2) / lam``; one that agrees flips with chance
+``q = 1/2 - 1/(2 lam)``, both in [0, 1] as lam >= 1.  An element changes
+iff its draw is below ``int(P * 2**53)``, P its p or q.  The move has two
 formulations that make that integer comparison, so they agree bit for
 bit: :func:`_move_np` steps numpy rows, and :func:`_move_packed` steps
 rows packed into Python ints, with the draws and thresholds of a whole
@@ -34,10 +34,8 @@ call it.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -58,7 +56,6 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _NEVER = 1 << 53  # one past the largest 53-bit draw
-_NORMAL_MIN = sys.float_info.min  # the least positive normal float
 
 _GOLDEN_U64 = np.uint64(_GOLDEN)
 _MIX1_U64 = np.uint64(_MIX1)
@@ -204,39 +201,18 @@ def weighted_sample(w, k: int, key: int, *parts) -> np.ndarray:
 
 
 def _chance(beta, lam: float):
-    """``int(P * 2**53)``, P the law's chance that an element changes at
-    ``beta`` (an array or a float): a draw below it changes the element.
-
-    P is ``clip(1/2 + (beta - 1/2) / lam, 0, 1)``, and at lam = 0 a 0 and
-    a 1 alike take their peer's value iff beta >= 1/2.  At beta = 0 it is
-    ``max(0, 1/2 - 1/(2 lam))``, the chance of an element that agrees
-    with its peer.  Monotone in beta, also as rounded.  A Python float
-    is clipped in Python floats, to a Python int; an array in numpy.
+    """``int(P * 2**53)``, P = ``1/2 + (beta - 1/2) / lam`` the law's chance
+    that an element changes at ``beta`` (a float or an array): a draw
+    below it changes the element.  At beta = 0 it is q, the chance of an
+    element that agrees with its peer.  For beta in [0, 1] and lam >= 1,
+    all that FaConfig admits, P lies in [0, 1] also as rounded, monotone
+    in beta.  A float gives a Python int, an array an int64 array.
     """
-    if type(beta) is float:
-        # float division overflows to inf silently, as the clip wants
-        if lam > 0.0:
-            p = min(max(0.5 + (beta - 0.5) / lam, 0.0), 1.0)
-        else:
-            p = 1.0 if beta >= 0.5 else 0.0
-        return int(p * _NEVER)
-    if lam > 0.0:
-        # in place, one new array for the whole clip
-        p = np.array(beta, dtype=np.float64)
-        p -= 0.5
-        # for beta in [0, 1] the quotient overflows to inf only at a
-        # subnormal lam, where P rightly clips to 0 or 1; only there is
-        # the warning silenced, as errstate costs microseconds a call
-        quiet = np.errstate(over="ignore") if lam < _NORMAL_MIN else contextlib.nullcontext()
-        with quiet:
-            p /= lam
-        p += 0.5
-        np.maximum(p, 0.0, out=p)
-        np.minimum(p, 1.0, out=p)
-    else:
-        p = np.greater_equal(beta, 0.5).astype(np.float64)
+    p = beta - 0.5
+    p /= lam
+    p += 0.5
     p *= _NEVER
-    return p.astype(np.int64)
+    return int(p) if type(p) is float else p.astype(np.int64)
 
 
 # a placement of at most this many entries packs into the 63 value bits

@@ -223,6 +223,8 @@ class PlacementEvaluator:
         column is read as the holders of one content.
         """
         columns = np.asarray(columns, dtype=np.uint8)
+        if len(columns) != len(self.mass):
+            raise ValueError(f"{len(columns)} placement rows for {len(self.mass)} F-APs")
         first = None
         for lo, table in zip(range(0, len(columns), 8), self._first_holder):
             chunk = columns[lo:lo + 8]

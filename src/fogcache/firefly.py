@@ -5,10 +5,10 @@ iterations.  Brighter (lower objective) fireflies attract dimmer ones;
 attraction decays with Hamming distance.  Each pairwise step follows
 the binary firefly law bit by bit: an element that differs from the
 brighter peer takes the peer's value with a chance that grows with the
-attraction, and above ``lambda_rand`` 1 an element that agrees flips
-with a fixed chance (see :mod:`fogcache._kernels`).  Moves are
-immediately visible within the same iteration, so one firefly can be
-pulled by an already-updated peer.  After moving, a
+attraction, and an element that agrees flips with a fixed chance, 0 at
+``lambda_rand`` 1, its least value (see :mod:`fogcache._kernels`).
+Moves are immediately visible within the same iteration, so one
+firefly can be pulled by an already-updated peer.  After moving, a
 firefly is repaired to the capacity budget with a popularity-guided
 rule; the initial swarm is drawn full, and only checked.  The best
 placement ever seen is kept outside the swarm, so the reported history
@@ -74,7 +74,7 @@ class FaConfig:
     population: int = 30
     max_iters: int = 200
     gamma: float = 0.001  # attractiveness decay per unit Hamming distance
-    lambda_rand: float = 1.0  # randomization strength; at 1, p = beta and q = 0
+    lambda_rand: float = 1.0  # randomization strength, >= 1; at 1, p = beta and q = 0
     seed: int = 0
 
     def __post_init__(self):
@@ -83,8 +83,8 @@ class FaConfig:
         # written so that NaN fails too
         if not 0 <= self.gamma < math.inf:
             raise ValueError("gamma must be non-negative and finite")
-        if not 0 <= self.lambda_rand < math.inf:
-            raise ValueError("lambda_rand must be non-negative and finite")
+        if not 1 <= self.lambda_rand < math.inf:
+            raise ValueError("lambda_rand must be at least 1 and finite")
 
 
 @dataclass

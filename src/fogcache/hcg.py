@@ -82,6 +82,8 @@ def run_hcg(
     m_count = graph.num_faps
     if initial is None:
         initial = initial_partition(m_count, math.ceil(m_count / 3), config.seed)
+    if initial.num_faps != m_count:
+        raise ValueError(f"initial partition has {initial.num_faps} F-APs, graph {m_count}")
 
     mutual = graph.mutual
     labels = initial.member_of.copy()  # compact: clusters are 0..K-1

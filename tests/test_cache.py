@@ -451,6 +451,21 @@ def test_column_costs_sum_to_the_objective(hop, n_faps):
         assert total == pytest.approx(ev.evaluate(x).objective, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("rows", [14, 16])
+def test_evaluator_rejects_a_placement_of_another_height(rows):
+    """Columns must hold one row per F-AP.  On 15 F-APs, 14 rows were
+    once scored as if the last F-AP cached nothing, and 16 raised a bare
+    IndexError from the rank tables; each call now names both counts."""
+    params = SystemParams(num_faps=15, num_users=60, num_contents=40,
+                          content_size=4.0e9, capacity=4.0e10)
+    scn = generate_scenario(params, 0)
+    ev = PlacementEvaluator(scn, build_rate_table(scn), Partition.singletons(15))
+    x = np.ones((rows, 40), dtype=np.uint8)
+    for call in (ev.surcharges, ev.column_costs, ev.evaluate):
+        with pytest.raises(ValueError, match=f"^{rows} placement rows for 15 F-APs$"):
+            call(x)
+
+
 @pytest.mark.parametrize("hop", ["free", "charged"])
 def test_rank_tables_break_rate_ties_toward_own_cluster(hop):
     """F-APs tied on rate across a cluster boundary: the own-cluster

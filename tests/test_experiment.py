@@ -197,6 +197,15 @@ def test_load_config_rejects_fractional_counts(tmp_path, capsys):
     assert "error: num_users must be an integer" in capsys.readouterr().err
 
 
+def test_cli_rejects_lambda_rand_below_one(tmp_path, capsys):
+    """A lambda_rand below 1 is a config error in the CLI, like any other."""
+    bad = tmp_path / "lambda.yaml"
+    bad.write_text("fa: {lambda_rand: 0.5}\n")
+    assert main(["run", str(bad), "-o", str(tmp_path / "out.csv")]) == 1
+    assert "error: lambda_rand must be at least 1 " in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 # experiment sections that used to run truncated or coerced, or crash
 BAD_EXPERIMENT = {
     "seed-fraction": "seeds: [0.5]",

@@ -139,33 +139,22 @@ def pull_once(xj, xi, beta, lam, key=7):
 
 def test_move_keeps_shared_ones_without_noise():
     xj = np.ones(6, dtype=np.uint8)
-    out = pull_once(xj, xj.copy(), beta=0.9, lam=0.0)
+    out = pull_once(xj, xj.copy(), beta=0.9, lam=1.0)
     assert out.tolist() == xj.tolist()
-
-
-def test_move_threshold_on_beta():
-    """At lam = 0 an element that differs from its peer takes the peer's
-    value iff beta >= 1/2, a 0 and a 1 alike: the law's p is 1 from
-    beta = 1/2 on and 0 below, so the tie at 1/2 takes."""
-    for xj in (0, 1):
-        a = np.array([xj], dtype=np.uint8)
-        b = 1 - a
-        for beta, takes in ((0.2, False), (0.49, False), (0.5, True), (0.6, True)):
-            assert pull_once(a, b, beta, 0.0)[0] == (1 - xj if takes else xj)
 
 
 def test_move_identity_when_inert():
     rng = np.random.default_rng(3)
     xj = rng.integers(0, 2, size=36).astype(np.uint8)
     xi = rng.integers(0, 2, size=36).astype(np.uint8)
-    assert np.array_equal(pull_once(xj, xi, beta=0.0, lam=0.0), xj)
+    assert np.array_equal(pull_once(xj, xi, beta=0.0, lam=1.0), xj)
 
 
 def test_move_copies_fully_at_max_attraction():
     rng = np.random.default_rng(4)
     xj = rng.integers(0, 2, size=15).astype(np.uint8)
     xi = rng.integers(0, 2, size=15).astype(np.uint8)
-    assert np.array_equal(pull_once(xj, xi, beta=1.0, lam=0.0), xi)
+    assert np.array_equal(pull_once(xj, xi, beta=1.0, lam=1.0), xi)
 
 
 def test_move_is_deterministic_given_state():
@@ -505,7 +494,7 @@ def test_run_fa_deterministic_per_seed(small_instance):
 
 
 # the "element-" ids name the one draw scope: each element draws its own noise
-@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0], ids="element-{}".format)
+@pytest.mark.parametrize("lam", [1.0, 2.0], ids="element-{}".format)
 def test_run_fa_draws_follow_the_counter_stream(monkeypatch, small_instance, lam):
     """Each pairwise step of iteration q, firefly j and peer i uses key
     derive_key(seed, 0xF2, q, j, i) and follows the per-bit law with the
@@ -555,7 +544,7 @@ def test_run_fa_draws_follow_the_counter_stream(monkeypatch, small_instance, lam
     monkeypatch.setattr(firefly._PackedSwarm, "move", checked_move)
     res = run_fa(scn, rates, part, cfg)
     assert iteration[0] == res.iterations - 1
-    # the swarm settles within a few iterations at lam <= 1, but the keys
+    # the swarm settles within a few iterations at lam = 1, but the keys
     # of at least two iterations are checked everywhere
     assert len({q for q, _, _ in steps}) >= 2
     assert len(steps) == len(set(steps)) > 10
@@ -589,7 +578,7 @@ def run_fa_both_ways(monkeypatch, scn, rates, part, cfg):
     return packed
 
 
-@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("lam", [1.0, 2.0])
 @pytest.mark.parametrize("seed", range(5))
 def test_packed_search_equals_matrix_search_on_small_config(monkeypatch, seed, lam):
     scn = generate_scenario(SMALL.system, seed)
@@ -693,9 +682,10 @@ def test_run_fa_asserts_the_capacity_region(monkeypatch, form):
 
 
 def test_default_lambda_improves_on_the_initial_swarm_at_full_scale():
-    """The default lambda_rand 1 (p = beta, q = 0) keeps a full-scale
-    swarm recombining; below 1 every step with beta < (1 - lambda) / 2
-    is cancelled, which freezes this search at its initial best."""
+    """The default lambda_rand 1 (p = beta, q = 0), the least FaConfig
+    admits, keeps a full-scale swarm recombining; below 1 every step
+    with beta < (1 - lambda) / 2 would be cancelled, which froze this
+    search at its initial best."""
     assert FaConfig().lambda_rand == 1.0
     spec = load_config(str(CONFIGS / "full_scale.yaml"))
     scn = generate_scenario(spec.system, seed=0)
@@ -711,13 +701,19 @@ def test_fa_config_validation():
     with pytest.raises(ValueError):
         FaConfig(max_iters=0)
     with pytest.raises(ValueError):
-        FaConfig(lambda_rand=-0.5)
-    with pytest.raises(ValueError):
-        FaConfig(lambda_rand=float("nan"))
-    with pytest.raises(ValueError):
         FaConfig(gamma=-0.1)
     with pytest.raises(ValueError):
         FaConfig(gamma=float("nan"))
+
+
+def test_fa_config_bounds_lambda_rand():
+    """lambda_rand lies in [1, inf): below 1 the law cancels the steps of
+    small attraction, and NaN or inf has no law at all."""
+    for lam in (0.0, 5e-324, 0.5, math.nextafter(1.0, 0.0), math.nan, math.inf):
+        with pytest.raises(ValueError, match="^lambda_rand must be at least 1 and finite$"):
+            FaConfig(lambda_rand=lam)
+    for lam in (1.0, math.nextafter(1.0, 2.0), 2.0, 1e308):
+        assert FaConfig(lambda_rand=lam).lambda_rand == lam
 
 
 @pytest.mark.parametrize(

@@ -272,6 +272,14 @@ def test_zero_graph_is_a_fixed_point():
     assert is_individually_stable(g, res.partition)
 
 
+@pytest.mark.parametrize("faps", [3, 5])
+def test_initial_partition_must_cover_the_graph(faps):
+    """A start over another number of F-APs than the graph's is refused
+    up front, naming both counts, not by a numpy error inside the loop."""
+    with pytest.raises(ValueError, match=f"^initial partition has {faps} F-APs, graph 4$"):
+        run_hcg(graph_of(np.zeros((4, 4))), initial=Partition.singletons(faps))
+
+
 def test_two_players_merge():
     g = graph_of([[0.0, 2.0], [2.0, 0.0]])
     res = run_hcg(g, initial=Partition.singletons(2))
