@@ -75,13 +75,14 @@ def uniform_at(key, idx) -> np.ndarray:
 
 
 def law_chances(beta, lam):
-    """The move's per-bit law in plain floats: ``(p, q)``, for lam >= 1.
+    """The move's per-bit law in plain floats: ``(p, q)``, for lam > 0.
 
     p is the chance that an element which differs from the peer takes
     the peer's value, ``clip(1/2 + (beta - 1/2) / lam, 0, 1)``.  q is the
     chance that an element which agrees with the peer flips,
     ``max(0, 1/2 - 1/(2 lam))``.  The kernels clip neither: at lam >= 1
-    and beta in [0, 1] both clips are idle, which the tests check.
+    and beta in [0, 1] both clips are idle, which the tests check, and a
+    threshold beyond [0, 2**53] decides a 53-bit draw as its clip would.
     """
     p = min(max(0.5 + (beta - 0.5) / lam, 0.0), 1.0)
     return p, max(0.0, 0.5 - 1.0 / (2.0 * lam))

@@ -27,12 +27,15 @@ from fogcache import (
 from fogcache._kernels import (
     _PACKED_MOVE_MAX,
     _repair_packed,
+    _chance,
     derive_key,
     get_backend,
+    mix64,
     weighted_sample,
 )
 
 from conftest import (
+    GOLDEN,
     assert_subsets_follow,
     flat_order,
     law_step,
@@ -141,6 +144,22 @@ def test_move_keeps_shared_ones_without_noise():
     xj = np.ones(6, dtype=np.uint8)
     out = pull_once(xj, xj.copy(), beta=0.9, lam=1.0)
     assert out.tolist() == xj.tolist()
+
+
+def test_move_threshold_on_beta():
+    """At lam = 1, the least lam FaConfig admits, the law's p is beta: an
+    element that differs from its peer takes the peer's value iff its
+    draw d is below ``int(beta * 2**53)``, a 0 and a 1 alike.  At beta =
+    d / 2**53 the threshold is d and the element stays; at the next
+    multiple of 2**-53 it takes."""
+    for key in (7, 11, 2024):
+        d = mix64(key + GOLDEN) >> 11
+        for xj in (0, 1):
+            a = np.array([xj], dtype=np.uint8)
+            for k, takes in ((0, False), (d, False), (d + 1, True), (1 << 53, True)):
+                beta = k / 2**53
+                assert _chance(beta, 1.0) == k
+                assert pull_once(a, 1 - a, beta, 1.0, key)[0] == (1 - xj if takes else xj)
 
 
 def test_move_identity_when_inert():

@@ -209,10 +209,13 @@ def _move_case(rng, trial, n=40, population=7):
 
 
 # the "True-" ids mark per-element draws, the move's one draw scope
-@pytest.mark.parametrize("lam", [1.0, 1.7, 3.0], ids="True-{}".format)
+@pytest.mark.parametrize("lam", [0.5, 1.0, 1.7, 3.0], ids="True-{}".format)
 def test_move_matches_scalar_rule(lam):
     """Four steps of the move on random swarms equal four steps of the
-    per-bit law, with the Hamming distance taken before each step."""
+    per-bit law, with the Hamming distance taken before each step.  At
+    lam = 0.5, below what FaConfig admits, the unclipped thresholds fall
+    outside [0, 2**53] and still decide every 53-bit draw as the clipped
+    law does, so the kernels need no clip even there."""
     rng = np.random.default_rng(5)
     for trial in range(20 * len(MOVE_WIDTHS)):
         n = MOVE_WIDTHS[trial % len(MOVE_WIDTHS)]
